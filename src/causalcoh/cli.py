@@ -3,7 +3,8 @@
 Every report is deterministic for identical arguments (fixed seeds, sorted
 keys, no timestamps): repeated invocations are byte-identical.  Exit codes:
 0 on success and all-pass verification, 1 on any identity or audit
-failure, 2 on usage or input errors.
+failure or when stdout closes before the report is written, 2 on usage or
+input errors.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 
 from .calabi import (CALABI_BACKGROUNDS, CalabiError, SOLUTION_OPERATORS, background_chart,
@@ -28,8 +30,7 @@ from .young import YoungDiagram, hook_rank
 SCHEMA = "causalcoh.report/v1"
 
 _INPUT_ERRORS = (CalabiError, ChartError, ComplexError, ExactnessError,
-                 TriangulationError, TensorError, ValueError, OSError,
-                 json.JSONDecodeError)
+                 TriangulationError, TensorError, ValueError, json.JSONDecodeError)
 
 
 def _digest(payload: dict) -> str:
@@ -101,14 +102,36 @@ def _table_payload(row_of, solution_row_of, n: int) -> dict:
     return {"table": rows, "entries": entries, "solution_entries": solution_entries}
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _read_triangulation(path: str) -> tuple[list, int | None]:
+    """Facets and vertex count of a triangulation file, shape-checked."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise TriangulationError(f"cannot read triangulation file: {exc}") from exc
+    if not isinstance(data, dict) or "facets" not in data:
+        raise TriangulationError('triangulation file must hold an object with "facets"')
+    facets = data["facets"]
+    if not (isinstance(facets, list)
+            and all(isinstance(f, list) and all(map(_is_int, f)) for f in facets)):
+        raise TriangulationError('"facets" must be a list of lists of integer vertex indices')
+    vertices = data.get("vertices")
+    if "vertices" in data and not (_is_int(vertices) and vertices >= 0):
+        raise TriangulationError('"vertices" must be a non-negative integer')
+    return facets, vertices
+
+
 def _cmd_derham(args, out) -> int:
     if args.triangulation:
-        with open(args.triangulation) as fh:
-            data = json.load(fh)
-        k = build_complex(data["facets"], vertex_count=data.get("vertices"))
+        facets, vertices = _read_triangulation(args.triangulation)
+        k = build_complex(facets, vertex_count=vertices)
         sigma = profile_from_triangulation(k, name=f"triangulation:{args.triangulation}")
         inputs = {"triangulation": {"vertices": k.vertex_count,
-                                    "facets": sorted(map(list, data["facets"]))},
+                                    "facets": sorted(facets)},
                   "n": args.n}
     else:
         if args.preset is None or args.m is None:
@@ -238,12 +261,24 @@ def main(argv=None, stdout=None) -> int:
         "killing": _cmd_killing,
     }
     try:
-        return handlers[args.command](args, out)
-    except _INPUT_ERRORS as exc:
-        out.write(json.dumps({"schema": SCHEMA, "error": str(exc),
-                              "error_type": type(exc).__name__}, sort_keys=True))
-        out.write("\n")
-        return 2
+        try:
+            code = handlers[args.command](args, out)
+        except _INPUT_ERRORS as exc:
+            out.write(json.dumps({"schema": SCHEMA, "error": str(exc),
+                                  "error_type": type(exc).__name__}, sort_keys=True))
+            out.write("\n")
+            code = 2
+        out.flush()
+    except BrokenPipeError:
+        # The reader of the report has gone.  Write nothing more, and point
+        # the descriptor at /dev/null so the interpreter's final flush of
+        # the unwritten buffer does not fail a second time.
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        except (AttributeError, OSError, ValueError):
+            pass  # not backed by a descriptor
+        return 1
+    return code
 
 
 if __name__ == "__main__":

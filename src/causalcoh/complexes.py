@@ -11,6 +11,14 @@ kernel basis (from the reduced row echelon form of the differential) is
 scanned in order and columns independent modulo the image of the previous
 differential are kept.  This makes induced maps well-defined matrices and
 keeps every operation deterministic.
+
+H^p is found in one elimination pass (:func:`linalg.independent_columns`):
+the columns of d_{p-1} are reduced into a sparse echelon basis, then the
+kernel columns in order, and a kernel column is kept exactly when its
+residual is nonzero.  Each complex memoises H^p per degree, so the long
+exact sequence, induced maps, class coordinates and the contractibility
+check reuse one computation.  Complexes are immutable, which keeps the
+memo valid.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .linalg import MatrixQ
+from .linalg import MatrixQ, independent_columns
 
 
 class ComplexError(ValueError):
@@ -38,7 +46,7 @@ class CochainComplex:
     construction and a violation reports the offending degree.
     """
 
-    __slots__ = ("_dims", "_diffs", "p_min", "p_max")
+    __slots__ = ("_dims", "_diffs", "p_min", "p_max", "_cohomology")
 
     def __init__(self, dims: Mapping[int, int], diffs: Mapping[int, MatrixQ] | None = None):
         self._dims = {p: int(d) for p, d in dims.items() if d}
@@ -52,6 +60,7 @@ class CochainComplex:
             self.p_min = 0
             self.p_max = 0
         self._diffs = {}
+        self._cohomology: dict[int, CohomologySpace] = {}  # filled by cohomology()
         diffs = diffs or {}
         for p, m in diffs.items():
             expected = (self.dim(p + 1), self.dim(p))
@@ -163,24 +172,19 @@ class CochainHomotopy:
 # -- cohomology -----------------------------------------------------------
 
 def cohomology(c: CochainComplex, p: int) -> CohomologySpace:
-    """H^p(c) with canonical cocycle representatives.
+    """H^p(c) with canonical cocycle representatives, computed once per degree.
 
     dim H^p = nullity(d_p) - rank(d_{p-1}); the representative columns
     complete the image of d_{p-1} to the kernel of d_p.
     """
-    kernel = c.d(p).kernel_basis()
-    image = c.d(p - 1)
-    reps = []
-    current = image
-    r = current.rank()
-    for col in kernel.columns():
-        candidate = current.hstack(MatrixQ.column_vector(col))
-        r2 = candidate.rank()
-        if r2 > r:
-            reps.append(col)
-            current, r = candidate, r2
-    basis = MatrixQ.from_columns(reps, rows=c.dim(p))
-    return CohomologySpace(degree=p, dim=len(reps), basis=basis)
+    h = c._cohomology.get(p)
+    if h is None:
+        kernel = c.d(p).kernel_basis()
+        kept = independent_columns(c.d(p - 1), kernel)
+        cols = kernel.columns()
+        basis = MatrixQ.from_columns([cols[j] for j in kept], rows=c.dim(p))
+        h = c._cohomology[p] = CohomologySpace(degree=p, dim=len(kept), basis=basis)
+    return h
 
 
 def cohomology_dims(c: CochainComplex) -> dict[int, int]:

@@ -4,12 +4,14 @@ Scalars are :class:`fractions.Fraction` values, which are always stored
 gcd-reduced with a positive denominator (zero is ``0/1``).  Matrices are
 dense, treated as immutable, and every elimination routine picks the first
 nonzero pivot in column order, so identical inputs yield bit-identical
-outputs.
+outputs.  :func:`independent_columns` eliminates column by column in
+sparse form, for the large sparse coboundaries of triangulations.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 Scalar = Fraction
@@ -289,6 +291,55 @@ def rank(m: MatrixQ) -> int:
 def kernel_basis(m: MatrixQ) -> MatrixQ:
     """Matrix whose columns form the canonical basis of ker(m)."""
     return m.kernel_basis()
+
+
+def independent_columns(span: MatrixQ, candidates: MatrixQ) -> tuple[int, ...]:
+    """Indices of the columns of ``candidates`` that enlarge the running span.
+
+    One elimination pass over sparse columns (dict index -> exact value): the
+    columns of ``span`` are reduced into an echelon basis first, then the
+    candidates in order.  A candidate whose residual is nonzero is kept and
+    its residual joins the basis, so candidate j is kept exactly when
+    ``rank([span | kept | c_j]) > rank([span | kept])``.
+    """
+    if span.rows != candidates.rows:
+        raise ValueError("row count mismatch")
+    basis: dict[int, dict] = {}  # pivot -> residual, 1 at the pivot
+
+    def enlarges(col: tuple) -> bool:
+        # integral entries are reduced as ints, which Fraction arithmetic
+        # accepts exactly and which are much cheaper
+        v = {i: x.numerator if x.denominator == 1 else x for i, x in enumerate(col) if x}
+        heap = list(v)
+        heapify(heap)
+        while heap:
+            i = heappop(heap)
+            c = v.get(i)
+            if c is None:
+                continue
+            b = basis.get(i)
+            if b is None:
+                # i leads the residual: every index below it is eliminated
+                if c == 1:
+                    basis[i] = v
+                elif c == -1:
+                    basis[i] = {j: -x for j, x in v.items()}
+                else:
+                    basis[i] = {j: Fraction(x) / c for j, x in v.items()}
+                return True
+            for j, x in b.items():
+                y = v.get(j, 0) - c * x
+                if y:
+                    if j not in v:
+                        heappush(heap, j)
+                    v[j] = y
+                else:
+                    del v[j]
+        return False
+
+    for col in span.columns():
+        enlarges(col)
+    return tuple(j for j, col in enumerate(candidates.columns()) if enlarges(col))
 
 
 def column_space_contains(basis: MatrixQ, vectors: MatrixQ) -> bool:

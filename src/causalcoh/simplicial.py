@@ -155,7 +155,8 @@ def profile_from_triangulation(k: SimplicialComplex, oriented_closed: bool = Tru
         raise TriangulationError(
             "only closed oriented triangulations are supported; use presets for open slices")
     m = k.dimension
-    h = tuple(betti(k, p) for p in range(m + 1))
+    cx = cochain_complex(k)
+    h = tuple(cohomology(cx, p).dim for p in range(m + 1))
     return CohomologyProfile(m=m, h=h, h_c=h, name=name or f"triangulated-{m}d")
 
 

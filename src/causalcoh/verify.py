@@ -42,7 +42,8 @@ class SuiteReport:
 
     @property
     def all_passed(self) -> bool:
-        return all(i.passed for i in self.items)
+        """True when there are checks and every one passed."""
+        return bool(self.items) and all(i.passed for i in self.items)
 
     def failures(self) -> list[CheckItem]:
         return [i for i in self.items if not i.passed]
@@ -60,6 +61,12 @@ class SuiteReport:
         }
 
 
+def _require_cases(cases: int) -> None:
+    """A run with no checks verifies nothing, so it is refused."""
+    if cases < 1:
+        raise ValueError(f"cases must be at least 1, got {cases}")
+
+
 def run_homology_suite(seed: int = 0, cases: int = 200) -> SuiteReport:
     """Random short exact sequences induce exact long sequences, and
     invertible null-homotopic endomorphisms force vanishing cohomology.
@@ -67,6 +74,7 @@ def run_homology_suite(seed: int = 0, cases: int = 200) -> SuiteReport:
     Runs ``cases`` sequence checks and ``cases // 4`` contractibility
     checks.
     """
+    _require_cases(cases)
     rng = random.Random(seed)
     items = []
     for i in range(cases):
@@ -100,6 +108,7 @@ def run_forms_suite(seed: int = 0, cases: int = 50, degree: int = 3) -> SuiteRep
     """d^2 = 0 and commutation of the wave operator with d, on seeded
     random polynomial forms over both backgrounds, plus the flat scalar
     calibration of the codifferential sign."""
+    _require_cases(cases)
     items = []
     for chart, label in ((minkowski(4), "minkowski4"), (de_sitter(4, 1), "deSitter4")):
         rng = random.Random(seed)
@@ -129,6 +138,7 @@ def run_forms_suite(seed: int = 0, cases: int = 50, degree: int = 3) -> SuiteRep
 def run_calabi_suite(background: str = "minkowski4", seed: int = 42,
                      degree: int = 2, cases: int = 20) -> SuiteReport:
     """The complex and null-homotopy identities, as exact equalities."""
+    _require_cases(cases)
     chart = _calabi.background_chart(background)
     report = _calabi.verify_calabi_identities(chart, seed=seed, degree_bound=degree,
                                               cases=cases)

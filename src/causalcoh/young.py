@@ -88,6 +88,8 @@ def hook_rank(diagram: YoungDiagram, n: int) -> int:
     Numerator: place n in the top-left cell, +1 to the right, -1 down;
     denominator: hook lengths.
     """
+    if n < 1:
+        raise ValueError(f"index dimension n must be at least 1, got {n}")
     num = _prod(n + j - i for i, r in enumerate(diagram.rows) for j in range(r))
     value = Fraction(num, diagram.hook_product())
     if value.denominator != 1:

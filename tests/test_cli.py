@@ -1,8 +1,12 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import causalcoh
 from causalcoh.cli import main
 
 
@@ -164,3 +168,68 @@ def test_byte_identical_reports():
         code2, text2 = run_cli(*args)
         assert code1 == code2
         assert text1.encode() == text2.encode(), args
+
+
+@pytest.mark.parametrize("content", [
+    "[1, 2]",
+    '{"vertices": 3}',
+    '{"facets": "0 1 2"}',
+    '{"facets": [0, 1, 2]}',
+    '{"facets": [[0, 1], [1, "2"]]}',
+    '{"facets": [[0, 1], [1, 2.0]]}',
+    '{"facets": [[0, true]]}',
+    '{"facets": [[0, 1], [1, 2], [0, 2]], "vertices": 3.5}',
+    '{"facets": [[0, 1], [1, 2], [0, 2]], "vertices": -1}',
+    '{"facets": [[0, 1], [1, 2], [0, 2]], "vertices": "3"}',
+])
+def test_derham_rejects_malformed_triangulation(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    code, rep = run_json("derham", "--triangulation", str(path), "--n", "3")
+    assert code == 2
+    assert rep["error_type"] == "TriangulationError"
+
+
+def test_derham_unreadable_triangulation_exits_2(tmp_path):
+    code, rep = run_json("derham", "--triangulation", str(tmp_path / "missing.json"),
+                         "--n", "4")
+    assert code == 2
+    assert rep["error_type"] == "TriangulationError"
+    code, rep = run_json("derham", "--triangulation", str(tmp_path), "--n", "4")
+    assert code == 2
+    assert rep["error_type"] == "TriangulationError"
+
+
+@pytest.mark.parametrize("suite", ["homology", "forms", "calabi"])
+@pytest.mark.parametrize("cases", ["0", "-2"])
+def test_verify_without_checks_exits_2(suite, cases):
+    code, rep = run_json("verify", "--suite", suite, "--cases", cases)
+    assert code == 2
+    assert "cases" in rep["error"]
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_hook_rejects_nonpositive_n(n):
+    code, rep = run_json("hook", "--diagram", "2,2", "--n", n)
+    assert code == 2 and "error" in rep
+
+
+@pytest.mark.parametrize("argv", [
+    ("hook", "--diagram", "2,2", "--n", "4"),        # report
+    ("hook", "--diagram", "1,2", "--n", "4"),        # input-error diagnostic
+])
+def test_closed_stdout_ends_without_traceback(argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(causalcoh.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the program writes
+    try:
+        proc = subprocess.run([sys.executable, "-m", "causalcoh", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    stderr = proc.stderr.decode()
+    assert proc.returncode != 0
+    assert "Traceback" not in stderr
+    assert "Exception ignored" not in stderr

@@ -45,3 +45,17 @@ def test_reports_reproducible():
     a = run_homology_suite(seed=9, cases=6).to_dict()
     b = run_homology_suite(seed=9, cases=6).to_dict()
     assert a == b
+
+
+def test_report_without_checks_is_not_a_pass():
+    from causalcoh.verify import SuiteReport
+    rep = SuiteReport("homology", 0, {"cases": 0}, ())
+    assert not rep.all_passed
+    assert rep.to_dict()["all_passed"] is False
+
+
+@pytest.mark.parametrize("cases", [0, -1])
+def test_suites_refuse_zero_cases(cases):
+    for run in (run_homology_suite, run_forms_suite, run_calabi_suite):
+        with pytest.raises(ValueError, match="cases"):
+            run(cases=cases)

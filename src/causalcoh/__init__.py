@@ -4,7 +4,7 @@ An exact-arithmetic toolkit for globally hyperbolic spacetimes presented
 as a line times a Cauchy slice: de Rham cohomology tables for all eight
 causal support classes, a finite-dimensional cochain-complex engine for
 the homological mechanisms behind them (null-homotopies, long exact
-sequences, splittings), exact rational-function tensor calculus on
+sequences, splittings), exact Laurent-polynomial tensor calculus on
 conformally flat constant-curvature charts, and a machine-verified
 implementation of the Killing-Riemann-Bianchi (Calabi) complex.
 """

@@ -10,7 +10,7 @@ null-homotopic with witness ``calabi_homotopy`` (level l -> l-1):
 
 with the edge cases wave_0 = homotopy_1 o diff_1 and
 wave_n = diff_n o homotopy_n.  All identities are verified as exact
-rational-function equalities on seeded random polynomial fields.
+Laurent-polynomial equalities on seeded random polynomial fields.
 
 The level-4 differential is the antisymmetrized derivative
 4 nabla_[a b_{bcd]:ef}; expanded on a tensor antisymmetric in its first
@@ -25,12 +25,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .causal import SpacetimeModel, SupportClass, TRIVIAL_SUPPORTS
 from .charts import (Chart, ChartKind, christoffel_from_metric, curvature, de_sitter,
                      lower_last_index, minkowski, riemann_from_christoffel)
-from .linalg import MatrixQ
+from .linalg import sparse_rank
 from .polynomials import MultiPolynomial, RationalFunction
 from .simplicial import preset_profile
 from .tensors import TensorField, _flat, _indices, box_tensor, metric_trace, nabla, odot, trace
@@ -428,7 +428,7 @@ def verify_calabi_identities(chart: Chart, seed: int = 42, degree_bound: int = 2
 
     For seeded random Young-projected polynomial fields: the composition of
     consecutive differentials vanishes (levels 1..3), the homotopy identity
-    holds at levels 1..3 and at both edges, all as exact rational-function
+    holds at levels 1..3 and at both edges, all as exact Laurent-polynomial
     equalities.
     """
     if degree_bound < 1:
@@ -594,43 +594,14 @@ def _monomials_up_to(nvars: int, degree: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def _clear_denominators(rfs: list[RationalFunction], nvars: int) -> list[MultiPolynomial]:
-    """Multiply a list of rational functions by their common monomial LCD.
+def killing_system(operator: str, chart: Chart, degree_bound: int) -> tuple[int, list[dict]]:
+    """The linear system of :func:`polynomial_solution_dimension`.
 
-    Requires every denominator to be a constant times a monomial, which
-    holds on conformally flat charts.
-    """
-    shifts = []
-    consts = []
-    for rf in rfs:
-        den = rf.den
-        if not den.is_monomial():
-            raise CalabiError("non-monomial denominator in solution system")
-        (mono, coeff), = den.items_unpacked()
-        shifts.append(mono)
-        consts.append(coeff)
-    lcm_mono = tuple(max(s[i] for s in shifts) for i in range(nvars))
-    out = []
-    for rf, mono, coeff in zip(rfs, shifts, consts):
-        boost = tuple(a - b for a, b in zip(lcm_mono, mono))
-        scaled = rf.num.scale(Fraction(1, coeff) if isinstance(coeff, int)
-                              else 1 / coeff)
-        if any(boost):
-            scaled = MultiPolynomial.from_terms(
-                nvars, ((tuple(m + bo for m, bo in zip(mm, boost)), c)
-                        for mm, c in scaled.items_unpacked()))
-        out.append(scaled)
-    return out
-
-
-def polynomial_solution_dimension(operator: str, chart: Chart,
-                                  degree_bound: int) -> SolutionDimension:
-    """Kernel dimension of the operator on polynomial upper-index fields.
-
-    The ansatz has polynomial components of total degree <= degree_bound in
-    the upper-index position, lowered with the chart metric before the
-    operator is applied; the linear system equates every polynomial
-    coefficient of every component to zero.
+    Returns the number of unknowns (one per upper-index component and
+    monomial of the ansatz) and the sparse integer rows: one dict
+    unknown -> coefficient per (output component, Laurent monomial), in
+    sorted row order.  Each unknown's column is scaled by the common
+    denominator of its output, which leaves the rank unchanged.
     """
     if operator not in SOLUTION_OPERATORS:
         raise CalabiError(f"unknown operator {operator!r}")
@@ -658,27 +629,33 @@ def polynomial_solution_dimension(operator: str, chart: Chart,
                 comps[b * n + a] = -val
                 unknown_fields.append(TensorField(chart, "ll", comps))
         apply_op = lambda w: killing_yano_operator(chart, w)
-    outputs = [apply_op(v) for v in unknown_fields]
-    nunk = len(outputs)
-    ncomp = len(outputs[0].comps)
-    f0 = Fraction(0)
-    row_map: dict[tuple, list] = {}
-    for pos in range(ncomp):
-        polys = _clear_denominators([outputs[i].comps[pos] for i in range(nunk)], n)
-        for i, poly in enumerate(polys):
-            for mono, coeff in poly.terms.items():
-                row = row_map.get((pos, mono))
+    rows: dict[tuple[int, int], dict] = {}
+    for i, v in enumerate(unknown_fields):
+        comps = apply_op(v).comps
+        common = lcm(*(c.d for c in comps))
+        for pos, c in enumerate(comps):
+            f = common // c.d
+            for mono, coeff in c.terms.items():
+                row = rows.get((pos, mono))
                 if row is None:
-                    row = [f0] * nunk
-                    row_map[(pos, mono)] = row
-                row[i] = coeff
-    if row_map:
-        system = MatrixQ.from_rows([row_map[key] for key in sorted(row_map)])
-        dim = nunk - system.rank()
-    else:
-        dim = nunk
+                    row = rows[(pos, mono)] = {}
+                row[i] = coeff * f
+    return len(unknown_fields), [rows[key] for key in sorted(rows)]
+
+
+def polynomial_solution_dimension(operator: str, chart: Chart,
+                                  degree_bound: int) -> SolutionDimension:
+    """Kernel dimension of the operator on polynomial upper-index fields.
+
+    The ansatz has polynomial components of total degree <= degree_bound in
+    the upper-index position, lowered with the chart metric before the
+    operator is applied; the linear system (:func:`killing_system`) equates
+    every Laurent coefficient of every component to zero and is ranked by
+    sparse elimination.
+    """
+    nunk, rows = killing_system(operator, chart, degree_bound)
     return SolutionDimension(
-        operator=operator, dim=dim, degree_bound=degree_bound,
+        operator=operator, dim=nunk - sparse_rank(rows), degree_bound=degree_bound,
         sufficient_degree=SUFFICIENT_DEGREE.get((chart.kind, operator)))
 
 

@@ -4,8 +4,10 @@ Charts carry a metric g_ab = Omega^2 eta_ab with eta = diag(-1,+1,...,+1)
 and a conformal factor Omega that is 1 (flat), 1/(H x0) (positive constant
 curvature) or 1/(H x_{n-1}) (negative constant curvature).  Everything
 geometric -- Christoffel symbols, curvature, the inverse metric, the
-volume scalar -- is then a rational function of the coordinates and is
-computed exactly.
+volume scalar -- is then a Laurent polynomial in the coordinates (see
+:mod:`causalcoh.polynomials`) and is computed exactly; the only division
+the charts need, by the conformal factor and its square, is division by a
+monomial.
 
 Curvature is computed from the Christoffel symbols and *verified* against
 the constant-curvature closed forms
@@ -80,13 +82,14 @@ class Chart:
 
     @cached_property
     def conformal_factor(self) -> RationalFunction:
-        """Omega with g = Omega^2 eta."""
+        """Omega with g = Omega^2 eta: 1, or the monomial (1/H) x_i^-1."""
         n = self.n
         if self.kind is ChartKind.MINKOWSKI:
             return self.one
         axis = 0 if self.kind is ChartKind.DE_SITTER else n - 1
-        hx = MultiPolynomial.variable(n, axis).scale(self.hubble)
-        return RationalFunction(MultiPolynomial.constant(n, 1), hx)
+        mono = tuple(-1 if i == axis else 0 for i in range(n))
+        return RationalFunction.from_polynomial(
+            MultiPolynomial.from_terms(n, [(mono, 1 / self.hubble)]))
 
     @cached_property
     def scalar_curvature(self) -> Fraction:
@@ -193,7 +196,7 @@ def christoffel_from_metric(g, g_inv, n, diff, zero):
     """Gamma^a_bc = 1/2 g^{ad} (d_b g_dc + d_c g_bd - d_d g_bc).
 
     ``g`` and ``g_inv`` are dense length-n^2 arrays of ring elements;
-    ``diff(elem, var)`` differentiates; works for rational functions and
+    ``diff(elem, var)`` differentiates; works for chart scalars and
     for first-order jets alike.
     """
     half = Fraction(1, 2)

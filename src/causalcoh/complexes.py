@@ -85,9 +85,6 @@ class CochainComplex:
     def degrees(self) -> range:
         return range(self.p_min, self.p_max + 1)
 
-    def total_dim(self) -> int:
-        return sum(self._dims.values())
-
     def euler_characteristic(self) -> int:
         return sum((-1) ** p * d for p, d in self._dims.items())
 
@@ -267,13 +264,15 @@ class ShortExactSeq:
         hi = max(self.a.p_max, self.b.p_max, self.c.p_max)
         for p in range(lo, hi + 1):
             ip, qp = i.at(p), q.at(p)
-            if ip.rank() != self.a.dim(p):
+            rank_i = ip.rank()
+            if rank_i != self.a.dim(p):
                 raise ExactnessError(f"i is not injective at degree {p}")
-            if qp.rank() != self.c.dim(p):
+            rank_q = qp.rank()
+            if rank_q != self.c.dim(p):
                 raise ExactnessError(f"q is not surjective at degree {p}")
             if not (qp * ip).is_zero():
                 raise ExactnessError(f"q∘i != 0 at degree {p}")
-            if ip.rank() + qp.rank() != self.b.dim(p):
+            if rank_i + rank_q != self.b.dim(p):
                 raise ExactnessError(f"im(i) != ker(q) at degree {p}")
 
     def degrees(self) -> range:
@@ -361,15 +360,17 @@ def check_exactness(seq: LongExactSeq) -> list[NodeVerdict]:
     """
     verdicts = []
     nodes = seq.nodes
+    ranks = [node.outgoing.rank() for node in nodes]  # each map ranked once
     for idx, node in enumerate(nodes):
         incoming = nodes[idx - 1].outgoing if idx > 0 else MatrixQ.zeros(node.dim, 0)
+        rank_in = ranks[idx - 1] if idx > 0 else 0
         outgoing = node.outgoing
         composite_zero = (outgoing * incoming).is_zero()
-        counts = incoming.rank() + outgoing.rank() == node.dim
+        counts = rank_in + ranks[idx] == node.dim
         ok = composite_zero and counts
         detail = "ok" if ok else (
             f"im∘out != 0" if not composite_zero else
-            f"rank(in)={incoming.rank()} + rank(out)={outgoing.rank()} != dim={node.dim}")
+            f"rank(in)={rank_in} + rank(out)={ranks[idx]} != dim={node.dim}")
         verdicts.append(NodeVerdict(node.degree, node.position, ok, detail))
     return verdicts
 

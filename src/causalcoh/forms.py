@@ -14,17 +14,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from .charts import Chart
-from .polynomials import RationalFunction
 from .tensors import TensorField, _flat, _indices, raise_first_index
+from .young import permutation_sign
 
 
 class FormError(ValueError):
     pass
-
-
-def form_degree(w: TensorField) -> int:
-    return w.rank
 
 
 def is_form(w: TensorField) -> bool:
@@ -41,7 +36,7 @@ def is_form(w: TensorField) -> bool:
             if not w.comps[_flat(n, idx)].is_zero():
                 return False
             continue
-        perm_sign = _sort_sign(idx)
+        perm_sign = permutation_sign(idx)
         lhs = w.comps[_flat(n, idx)]
         rhs = w.comps[_flat(n, sidx)]
         if perm_sign == 1:
@@ -51,17 +46,6 @@ def is_form(w: TensorField) -> bool:
             if not (lhs == -rhs if not rhs.is_zero() else lhs.is_zero()):
                 return False
     return True
-
-
-def _sort_sign(idx) -> int:
-    sign = 1
-    lst = list(idx)
-    for i in range(len(lst)):
-        for j in range(len(lst) - 1 - i):
-            if lst[j] > lst[j + 1]:
-                lst[j], lst[j + 1] = lst[j + 1], lst[j]
-                sign = -sign
-    return sign
 
 
 def _require_form(w: TensorField) -> None:
@@ -152,7 +136,7 @@ def hodge_star(w: TensorField) -> TensorField:
             v = raised.comps[_flat(n, aperm)]
             if v.is_zero():
                 continue
-            sign = _perm_sign_of(tuple(aperm) + tuple(bidx))
+            sign = permutation_sign(tuple(aperm) + tuple(bidx))
             total = total + v if sign == 1 else total - v
         total = (total * vol).scale(inv_pfact)
         comps.append(total)
@@ -171,17 +155,6 @@ def _rotate_first_to_last(t: TensorField) -> TensorField:
         for rest in range(size):
             comps[rest * n + first] = t.comps[base + rest]
     return TensorField(t.chart, t.variance[1:] + t.variance[0], comps)
-
-
-def _perm_sign_of(seq) -> int:
-    sign = 1
-    lst = list(seq)
-    for i in range(len(lst)):
-        for j in range(len(lst) - 1 - i):
-            if lst[j] > lst[j + 1]:
-                lst[j], lst[j + 1] = lst[j + 1], lst[j]
-                sign = -sign
-    return sign
 
 
 def _factorial(k: int) -> int:

@@ -5,7 +5,8 @@ gcd-reduced with a positive denominator (zero is ``0/1``).  Matrices are
 dense, treated as immutable, and every elimination routine picks the first
 nonzero pivot in column order, so identical inputs yield bit-identical
 outputs.  :func:`independent_columns` eliminates column by column in
-sparse form, for the large sparse coboundaries of triangulations.
+sparse form, for the large sparse coboundaries of triangulations, and
+:func:`sparse_rank` ranks sparse integer systems with the same step.
 """
 
 from __future__ import annotations
@@ -293,6 +294,48 @@ def kernel_basis(m: MatrixQ) -> MatrixQ:
     return m.kernel_basis()
 
 
+def _reduce_into(basis: dict[int, dict], v: dict) -> bool:
+    """One sparse elimination step: reduce ``v`` against ``basis`` in place.
+
+    ``basis`` maps each pivot index to its vector (1 at the pivot, zero at
+    every other pivot below it); ``v`` maps indices to nonzero exact values
+    (ints or Fractions).  Returns True, after adding the normalized residual
+    to ``basis``, when ``v`` does not lie in the span of ``basis``.
+    """
+    heap = list(v)
+    heapify(heap)
+    while heap:
+        i = heappop(heap)
+        c = v.get(i)
+        if c is None:
+            continue
+        b = basis.get(i)
+        if b is None:
+            # i leads the residual: every index below it is eliminated
+            if c == 1:
+                basis[i] = v
+            elif c == -1:
+                basis[i] = {j: -x for j, x in v.items()}
+            else:
+                basis[i] = {j: Fraction(x) / c for j, x in v.items()}
+            return True
+        for j, x in b.items():
+            y = v.get(j, 0) - c * x
+            if y:
+                if j not in v:
+                    heappush(heap, j)
+                v[j] = y
+            else:
+                del v[j]
+    return False
+
+
+def _sparse(col: tuple) -> dict:
+    # integral entries are reduced as ints, which Fraction arithmetic
+    # accepts exactly and which are much cheaper
+    return {i: x.numerator if x.denominator == 1 else x for i, x in enumerate(col) if x}
+
+
 def independent_columns(span: MatrixQ, candidates: MatrixQ) -> tuple[int, ...]:
     """Indices of the columns of ``candidates`` that enlarge the running span.
 
@@ -305,41 +348,20 @@ def independent_columns(span: MatrixQ, candidates: MatrixQ) -> tuple[int, ...]:
     if span.rows != candidates.rows:
         raise ValueError("row count mismatch")
     basis: dict[int, dict] = {}  # pivot -> residual, 1 at the pivot
-
-    def enlarges(col: tuple) -> bool:
-        # integral entries are reduced as ints, which Fraction arithmetic
-        # accepts exactly and which are much cheaper
-        v = {i: x.numerator if x.denominator == 1 else x for i, x in enumerate(col) if x}
-        heap = list(v)
-        heapify(heap)
-        while heap:
-            i = heappop(heap)
-            c = v.get(i)
-            if c is None:
-                continue
-            b = basis.get(i)
-            if b is None:
-                # i leads the residual: every index below it is eliminated
-                if c == 1:
-                    basis[i] = v
-                elif c == -1:
-                    basis[i] = {j: -x for j, x in v.items()}
-                else:
-                    basis[i] = {j: Fraction(x) / c for j, x in v.items()}
-                return True
-            for j, x in b.items():
-                y = v.get(j, 0) - c * x
-                if y:
-                    if j not in v:
-                        heappush(heap, j)
-                    v[j] = y
-                else:
-                    del v[j]
-        return False
-
     for col in span.columns():
-        enlarges(col)
-    return tuple(j for j, col in enumerate(candidates.columns()) if enlarges(col))
+        _reduce_into(basis, _sparse(col))
+    return tuple(j for j, col in enumerate(candidates.columns())
+                 if _reduce_into(basis, _sparse(col)))
+
+
+def sparse_rank(vectors: Iterable[dict]) -> int:
+    """Rank of sparse vectors (dict index -> nonzero int or Fraction).
+
+    The same elimination step as :func:`independent_columns`; the input
+    dicts are copied, not consumed.
+    """
+    basis: dict[int, dict] = {}
+    return sum(_reduce_into(basis, dict(v)) for v in vectors)
 
 
 def column_space_contains(basis: MatrixQ, vectors: MatrixQ) -> bool:

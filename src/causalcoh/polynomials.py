@@ -1,20 +1,23 @@
-"""Sparse multivariate polynomials and rational functions over the rationals.
+"""Sparse multivariate Laurent polynomials over the rationals.
 
 Polynomials are dicts from packed exponent keys to nonzero coefficients.
 A monomial x0^e0 * x1^e1 * ... is stored as the single integer
-sum(e_i << (16 i)), so multiplying monomials is integer addition and the
-exponents may reach 2^16 - 1 per variable (far beyond desk scale).
-Coefficients are plain ints whenever they are integral (int arithmetic is
-an order of magnitude faster than Fraction arithmetic, and both mix
-transparently), with Fractions appearing only where genuinely needed.
+sum((e_i + 2^15) << (16 i)): every exponent carries the offset 2^15, so
+exponents from -2^15 to 2^15 - 1 pack (far beyond desk scale), negative
+ones included, and multiplying monomials is integer addition minus the
+packed offset of the constant monomial.  :class:`MultiPolynomial`
+coefficients are ints or Fractions.
 
-Rational functions are normalized by cancelling any common monomial
-factor and the joint rational content, leaving numerator and denominator
-jointly integer-primitive with a positive graded-lex leading denominator
-coefficient.  On the conformally flat charts used in this package every
-denominator is a constant times a monomial, so this normalization is a
-full canonical form there; equality always goes through
-cross-multiplication and never relies on cancellation.
+Chart scalars are :class:`RationalFunction` values: Laurent polynomials
+with int coefficients over one positive integer denominator, stored as
+(1/d) * sum c_m x^m with gcd(d, c_m...) = 1.  On the conformally flat
+charts of this package the conformal factor is the monomial 1/(H x_i), so
+every scalar the package builds -- metric, inverse metric, Christoffel
+symbols, curvature, volume scalar and every field derived from them -- is
+a Laurent polynomial, and the ring operations, derivatives and division
+by a monomial stay inside that ring.  There is no rational-function
+normalisation: the stored form is canonical, so equality is dict
+equality, and division by anything but a monomial raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -23,10 +26,20 @@ from fractions import Fraction
 from math import gcd, lcm
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 _SHIFT = 16
 _MASK = (1 << _SHIFT) - 1
+_OFFSET = 1 << (_SHIFT - 1)
+
+_ONE_KEYS: dict[int, int] = {}
+
+
+def _one_key(nvars: int) -> int:
+    """Packed key of the constant monomial 1 (every exponent zero)."""
+    key = _ONE_KEYS.get(nvars)
+    if key is None:
+        key = _ONE_KEYS[nvars] = sum(_OFFSET << (_SHIFT * i) for i in range(nvars))
+    return key
 
 
 def _coerce(c):
@@ -41,31 +54,19 @@ def _coerce(c):
 def _pack(exponents) -> int:
     key = 0
     for i, e in enumerate(exponents):
-        if e < 0 or e > _MASK:
+        if not -_OFFSET <= e < _OFFSET:
             raise ValueError(f"exponent {e} out of storable range")
-        key |= e << (_SHIFT * i)
+        key |= (e + _OFFSET) << (_SHIFT * i)
     return key
 
 
 def _unpack(key: int, nvars: int) -> tuple[int, ...]:
-    return tuple((key >> (_SHIFT * i)) & _MASK for i in range(nvars))
-
-
-def _total_degree(key: int) -> int:
-    total = 0
-    while key:
-        total += key & _MASK
-        key >>= _SHIFT
-    return total
-
-
-def _grlex_key(key: int, nvars: int) -> tuple:
-    return (_total_degree(key), _unpack(key, nvars))
+    return tuple(((key >> (_SHIFT * i)) & _MASK) - _OFFSET for i in range(nvars))
 
 
 class MultiPolynomial:
-    """Polynomial in ``nvars`` variables; ``terms`` maps packed keys to
-    coefficients (ints or Fractions)."""
+    """Laurent polynomial in ``nvars`` variables; ``terms`` maps packed keys
+    to coefficients (ints or Fractions)."""
 
     __slots__ = ("nvars", "terms")
 
@@ -84,13 +85,13 @@ class MultiPolynomial:
         c = _coerce(c if isinstance(c, (int, Fraction)) else Fraction(c))
         if not c:
             return cls(nvars, {})
-        return cls(nvars, {0: c})
+        return cls(nvars, {_one_key(nvars): c})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "MultiPolynomial":
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range")
-        return cls(nvars, {1 << (_SHIFT * index): 1})
+        return cls(nvars, {_one_key(nvars) + (1 << (_SHIFT * index)): 1})
 
     @classmethod
     def from_terms(cls, nvars: int, items) -> "MultiPolynomial":
@@ -124,22 +125,19 @@ class MultiPolynomial:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
+        return not self.terms or (len(self.terms) == 1 and _one_key(self.nvars) in self.terms)
 
     def constant_value(self):
         if not self.terms:
             return 0
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return self.terms[0]
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
+        return self.terms[_one_key(self.nvars)]
 
     def total_degree(self) -> int:
         if not self.terms:
             return 0
-        return max(_total_degree(k) for k in self.terms)
+        return max(sum(mono) for mono, _ in self.items_unpacked())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPolynomial):
@@ -155,59 +153,18 @@ class MultiPolynomial:
             return other
         if not other.terms:
             return self
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = out.get(m)
-            if acc is None:
-                out[m] = c
-            else:
-                acc += c
-                if acc:
-                    out[m] = acc
-                else:
-                    del out[m]
-        return MultiPolynomial(self.nvars, out)
+        return MultiPolynomial(self.nvars, _add_terms(self.terms, other.terms))
 
     def __sub__(self, other: "MultiPolynomial") -> "MultiPolynomial":
         if not other.terms:
             return self
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = out.get(m)
-            if acc is None:
-                out[m] = -c
-            else:
-                acc -= c
-                if acc:
-                    out[m] = acc
-                else:
-                    del out[m]
-        return MultiPolynomial(self.nvars, out)
+        return MultiPolynomial(self.nvars, _add_terms(self.terms, other.terms, -1))
 
     def __neg__(self) -> "MultiPolynomial":
         return MultiPolynomial(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: "MultiPolynomial") -> "MultiPolynomial":
-        a, b = self.terms, other.terms
-        if not a or not b:
-            return MultiPolynomial(self.nvars, {})
-        if len(a) > len(b):
-            a, b = b, a
-        out = {}
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                m = ma + mb
-                c = ca * cb
-                acc = out.get(m)
-                if acc is None:
-                    out[m] = c
-                else:
-                    acc += c
-                    if acc:
-                        out[m] = acc
-                    else:
-                        del out[m]
-        return MultiPolynomial(self.nvars, out)
+        return MultiPolynomial(self.nvars, _mul_terms(self.terms, other.terms, self.nvars))
 
     def scale(self, c) -> "MultiPolynomial":
         c = _coerce(c if isinstance(c, (int, Fraction)) else Fraction(c))
@@ -215,13 +172,6 @@ class MultiPolynomial:
             return MultiPolynomial(self.nvars, {})
         if isinstance(c, int):
             return MultiPolynomial(self.nvars, {m: c * v for m, v in self.terms.items()})
-        return MultiPolynomial(self.nvars,
-                               {m: _coerce(c * v) for m, v in self.terms.items()})
-
-    def scale_coerced(self, c) -> "MultiPolynomial":
-        """Scale and force integral Fraction coefficients back to ints."""
-        if not c:
-            return MultiPolynomial(self.nvars, {})
         return MultiPolynomial(self.nvars,
                                {m: _coerce(c * v) for m, v in self.terms.items()})
 
@@ -238,17 +188,7 @@ class MultiPolynomial:
         return result
 
     def derivative(self, var: int) -> "MultiPolynomial":
-        shift = _SHIFT * var
-        step = 1 << shift
-        out = {}
-        for m, c in self.terms.items():
-            e = (m >> shift) & _MASK
-            if e:
-                nm = m - step
-                nc = c * e
-                acc = out.get(nm)
-                out[nm] = nc if acc is None else acc + nc
-        return MultiPolynomial(self.nvars, {m: c for m, c in out.items() if c})
+        return MultiPolynomial(self.nvars, _derivative_terms(self.terms, var))
 
     def evaluate(self, point) -> Fraction:
         total = _F0
@@ -256,53 +196,9 @@ class MultiPolynomial:
             v = Fraction(c)
             for x, e in zip(point, mono):
                 if e:
-                    v *= x ** e
+                    v *= Fraction(x) ** e
             total += v
         return total
-
-    # -- normalization helpers -------------------------------------------
-
-    def min_exponents(self) -> tuple:
-        if not self.terms:
-            return (0,) * self.nvars
-        it = iter(self.terms)
-        mins = list(_unpack(next(it), self.nvars))
-        for key in it:
-            for i in range(self.nvars):
-                e = (key >> (_SHIFT * i)) & _MASK
-                if e < mins[i]:
-                    mins[i] = e
-        return tuple(mins)
-
-    def shift_down(self, shift: tuple) -> "MultiPolynomial":
-        if not any(shift):
-            return self
-        delta = _pack(shift)
-        return MultiPolynomial(self.nvars, {m - delta: c for m, c in self.terms.items()})
-
-    def content_and_sign(self) -> Fraction:
-        """Signed content: |gcd of coefficients| with the sign of the
-        graded-lex leading coefficient."""
-        if not self.terms:
-            return _F1
-        gn, ld = self._content_accumulate(0, 1)
-        content = Fraction(gn, ld)
-        if self.terms[self._leading_key()] < 0:
-            content = -content
-        return content
-
-    def _content_accumulate(self, gn: int, ld: int) -> tuple[int, int]:
-        for c in self.terms.values():
-            gn = gcd(gn, abs(c.numerator))
-            ld = lcm(ld, c.denominator)
-        return gn, ld
-
-    def _leading_key(self) -> int:
-        return max(self.terms, key=lambda k: _grlex_key(k, self.nvars))
-
-    def leading_term(self) -> tuple:
-        lead = self._leading_key()
-        return _unpack(lead, self.nvars), self.terms[lead]
 
     def sorted_terms(self) -> list:
         return sorted(self.items_unpacked(),
@@ -313,47 +209,137 @@ class MultiPolynomial:
             return "0"
         bits = []
         for m, c in self.sorted_terms():
-            mono = "*".join(f"x{i}^{e}" if e > 1 else f"x{i}"
+            mono = "*".join(f"x{i}^{e}" if e != 1 else f"x{i}"
                             for i, e in enumerate(m) if e)
             bits.append(f"{c}" if not mono else (f"{c}*{mono}" if c != 1 else mono))
         return " + ".join(bits)
 
 
-class RationalFunction:
-    """Quotient of two multivariate polynomials, normalized on construction."""
+# -- term-dict kernels shared by both classes ----------------------------------
 
-    __slots__ = ("num", "den")
+def _add_terms(a: dict, b: dict, fb: int = 1, fa: int = 1) -> dict:
+    """fa * a + fb * b, dropping zero coefficients."""
+    out = dict(a) if fa == 1 else {m: fa * c for m, c in a.items()}
+    get = out.get
+    if fb == 1:
+        for m, c in b.items():
+            acc = get(m)
+            if acc is None:
+                out[m] = c
+            else:
+                acc += c
+                if acc:
+                    out[m] = acc
+                else:
+                    del out[m]
+    else:
+        for m, c in b.items():
+            acc = get(m)
+            if acc is None:
+                out[m] = fb * c
+            else:
+                acc += fb * c
+                if acc:
+                    out[m] = acc
+                else:
+                    del out[m]
+    return out
+
+
+def _mul_terms(a: dict, b: dict, nvars: int) -> dict:
+    if not a or not b:
+        return {}
+    if len(a) > len(b):
+        a, b = b, a
+    one = _one_key(nvars)
+    if len(a) == 1:
+        (ma, ca), = a.items()
+        ma -= one
+        return {ma + mb: ca * cb for mb, cb in b.items()}
+    shifted = [(mb - one, cb) for mb, cb in b.items()]
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in shifted:
+            m = ma + mb
+            c = ca * cb
+            acc = out.get(m)
+            if acc is None:
+                out[m] = c
+            else:
+                acc += c
+                if acc:
+                    out[m] = acc
+                else:
+                    del out[m]
+    return out
+
+
+def _derivative_terms(terms: dict, var: int) -> dict:
+    # lowering one exponent maps distinct monomials to distinct monomials,
+    # so no two terms of the result collide
+    shift = _SHIFT * var
+    step = 1 << shift
+    out = {}
+    for m, c in terms.items():
+        e = ((m >> shift) & _MASK) - _OFFSET
+        if e:
+            out[m - step] = c * e
+    return out
+
+
+_new = object.__new__
+
+
+def _rf(nvars: int, terms: dict, d: int) -> "RationalFunction":
+    """A scalar from int ``terms`` over ``d`` > 0 sharing no common factor."""
+    r = _new(RationalFunction)
+    r.nvars = nvars
+    r.terms = terms
+    r.d = d
+    return r
+
+
+def _reduced(nvars: int, terms: dict, d: int) -> "RationalFunction":
+    """A scalar from int ``terms`` over ``d`` > 0, after one gcd pass."""
+    if d != 1:
+        g = gcd(d, *terms.values())
+        if g != 1:
+            terms = {m: c // g for m, c in terms.items()}
+            d //= g
+    return _rf(nvars, terms, d)
+
+
+class RationalFunction:
+    """A chart scalar: a Laurent polynomial (1/d) * sum c_m x^m.
+
+    ``terms`` maps packed monomial keys to int coefficients and ``d`` is a
+    positive int with gcd(d, c_m...) = 1; zero is ``{}`` over 1.  The form
+    is canonical, so equality compares dicts.  The constructor takes a
+    Laurent polynomial numerator and a monomial denominator.
+    """
+
+    __slots__ = ("nvars", "terms", "d")
 
     def __init__(self, num: MultiPolynomial, den: MultiPolynomial, _normalized=False):
+        nvars = num.nvars
+        self.nvars = nvars
         if _normalized:
-            self.num = num
-            self.den = den
+            # num has int coefficients without a common factor with the
+            # positive int constant den
+            self.terms = num.terms
+            self.d = den.constant_value()
             return
-        if den.is_zero():
+        if not den.terms:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            self.num = num
-            self.den = MultiPolynomial.constant(num.nvars, 1)
-            return
-        if len(den.terms) != 1 or 0 not in den.terms:
-            shift = tuple(min(a, b)
-                          for a, b in zip(num.min_exponents(), den.min_exponents()))
-            if any(shift):
-                num = num.shift_down(shift)
-                den = den.shift_down(shift)
-        # joint content: leaves both polynomials integer-primitive together,
-        # with the denominator's graded-lex leading coefficient positive
-        gn, ld = num._content_accumulate(0, 1)
-        gn, ld = den._content_accumulate(gn, ld)
-        g = Fraction(gn, ld)
-        if den.terms[den._leading_key()] < 0:
-            g = -g
-        if g != 1:
-            inv = 1 / g
-            num = num.scale_coerced(inv)
-            den = den.scale_coerced(inv)
-        self.num = num
-        self.den = den
+        if len(den.terms) != 1:
+            raise ValueError(f"denominator {den!r} is not a monomial")
+        (dkey, dc), = den.terms.items()
+        shift = dkey - _one_key(nvars)
+        inv = 1 / Fraction(dc)
+        coeffs = {m - shift: inv * c for m, c in num.terms.items()}
+        d = lcm(*(c.denominator for c in coeffs.values())) if coeffs else 1
+        self.terms = {m: c.numerator * (d // c.denominator) for m, c in coeffs.items()}
+        self.d = d
 
     # -- constructors ---------------------------------------------------
 
@@ -369,106 +355,97 @@ class RationalFunction:
     def variable(cls, nvars: int, index: int) -> "RationalFunction":
         return cls.from_polynomial(MultiPolynomial.variable(nvars, index))
 
-    # -- predicates -----------------------------------------------------
+    # -- views ----------------------------------------------------------
 
     @property
-    def nvars(self) -> int:
-        return self.num.nvars
+    def num(self) -> MultiPolynomial:
+        return MultiPolynomial(self.nvars, self.terms)
+
+    @property
+    def den(self) -> MultiPolynomial:
+        return MultiPolynomial.constant(self.nvars, self.d)
+
+    # -- predicates -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return self.den.is_constant()
+        return not self.terms
 
     def den_is_one(self) -> bool:
-        return self.den.is_constant() and self.den.constant_value() == 1
+        return self.d == 1
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = RationalFunction.constant(self.nvars, other)
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        if self.den.terms == other.den.terms:
-            return self.num == other.num
-        return self.num * other.den == other.num * self.den
+        return self.d == other.d and self.nvars == other.nvars and self.terms == other.terms
 
     __hash__ = None
 
     # -- arithmetic -----------------------------------------------------
 
+    def _combine(self, other: "RationalFunction", sign: int) -> "RationalFunction":
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _reduced(self.nvars, _add_terms(self.terms, other.terms, sign), d1)
+        g = gcd(d1, d2)
+        fa, fb = d2 // g, d1 // g
+        return _reduced(self.nvars, _add_terms(self.terms, other.terms, sign * fb, fa),
+                        d1 * fa)
+
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        if self.num.is_zero():
+        if not self.terms:
             return other
-        if other.num.is_zero():
+        if not other.terms:
             return self
-        if self.den.terms == other.den.terms:
-            # unchanged denominator: skip renormalization (equality and
-            # zero tests never rely on the canonical form)
-            num = self.num + other.num
-            if num.terms:
-                return RationalFunction(num, self.den, _normalized=True)
-            return RationalFunction(num, self.den)
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        if other.num.is_zero():
+        if not other.terms:
             return self
-        if self.den.terms == other.den.terms:
-            num = self.num - other.num
-            if num.terms:
-                return RationalFunction(num, self.den, _normalized=True)
-            return RationalFunction(num, self.den)
-        return RationalFunction(self.num * other.den - other.num * self.den,
-                                self.den * other.den)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den, _normalized=True)
+        return _rf(self.nvars, {m: -c for m, c in self.terms.items()}, self.d)
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        if self.num.is_zero() or other.num.is_zero():
-            return RationalFunction(MultiPolynomial.zero(self.nvars),
-                                    MultiPolynomial.constant(self.nvars, 1),
-                                    _normalized=True)
-        if self.den_is_one() and other.den_is_one():
-            return RationalFunction(self.num * other.num, self.den, _normalized=True)
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        return _reduced(self.nvars, _mul_terms(self.terms, other.terms, self.nvars),
+                        self.d * other.d)
 
     def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        if other.num.is_zero():
+        """Exact division by a monomial c x^m; any other divisor raises."""
+        b = other.terms
+        if not b:
             raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        if len(b) != 1:
+            raise ValueError(f"division by the non-monomial {other!r}")
+        (mb, cb), = b.items()
+        shift = mb - _one_key(self.nvars)
+        f = other.d if cb > 0 else -other.d
+        return _reduced(self.nvars, {m - shift: c * f for m, c in self.terms.items()},
+                        self.d * abs(cb))
 
     def scale(self, c) -> "RationalFunction":
         c = _coerce(c if isinstance(c, (int, Fraction)) else Fraction(c))
         if not c:
-            return RationalFunction.constant(self.nvars, 0)
+            return _rf(self.nvars, {}, 1)
         if isinstance(c, int):
-            # integer scaling preserves joint primitivity up to content in
-            # the numerator, which cross-multiplying equality never needs
-            return RationalFunction(self.num.scale(c), self.den, _normalized=True)
-        # non-integral scalars are pushed into the denominator so that
-        # coefficients stay integers (ints are much faster than Fractions)
-        return RationalFunction(self.num.scale(c.numerator),
-                                self.den.scale(c.denominator))
+            # gcd(d, terms) = 1, so only a factor shared by c and d cancels
+            g = gcd(c, self.d)
+            if g != 1:
+                c //= g
+            return _rf(self.nvars, {m: c * v for m, v in self.terms.items()}, self.d // g)
+        p = c.numerator
+        return _reduced(self.nvars, {m: p * v for m, v in self.terms.items()},
+                        self.d * c.denominator)
 
     def derivative(self, var: int) -> "RationalFunction":
-        if self.den_is_one():
-            return RationalFunction(self.num.derivative(var), self.den, _normalized=True)
-        dden = self.den.derivative(var)
-        if dden.is_zero():
-            return RationalFunction(self.num.derivative(var), self.den)
-        return RationalFunction(self.num.derivative(var) * self.den - self.num * dden,
-                                self.den * self.den)
+        return _reduced(self.nvars, _derivative_terms(self.terms, var), self.d)
 
     def evaluate(self, point) -> Fraction:
-        d = self.den.evaluate(point)
-        if not d:
-            raise ZeroDivisionError("denominator vanishes at evaluation point")
-        return self.num.evaluate(point) / d
+        return self.num.evaluate(point) / self.d
 
     def __repr__(self) -> str:
-        if self.den_is_one():
+        if self.d == 1:
             return repr(self.num)
-        return f"({self.num!r}) / ({self.den!r})"
+        return f"({self.num!r}) / ({self.d})"

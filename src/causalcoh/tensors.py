@@ -1,4 +1,4 @@
-"""Dense tensor fields with exact rational-function components.
+"""Dense tensor fields with exact Laurent-polynomial components.
 
 Components are stored densely with the flat index
 ``(((i_0 * n) + i_1) * n + ...) + i_{r-1}``; desk scale (n <= 4, rank <= 7)

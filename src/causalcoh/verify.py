@@ -18,7 +18,6 @@ from .complexes import check_exactness, contractibility_check, long_exact_sequen
 from .forms import box_de_rham, exterior_derivative, is_form
 from .generators import (invertible_null_homotopic_map, random_contractible_complex,
                          random_short_exact_seq)
-from .polynomials import MultiPolynomial, RationalFunction
 from .tensors import TensorField, _indices
 from .young import (CALABI_DIAGRAMS, group_algebra_idempotent, hook_rank, projector_rank,
                     symmetrize_slots)

@@ -14,6 +14,7 @@ product of hook lengths.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -104,20 +105,27 @@ def standard_tableaux_count(diagram: YoungDiagram) -> int:
 
 # -- permutation action on dense component arrays ----------------------------
 
-def _perm_parity(p) -> int:
-    p = list(p)
-    parity = 1
-    for i in range(len(p)):
-        while p[i] != i:
-            j = p[i]
-            p[i], p[j] = p[j], p[i]
-            parity = -parity
-    return parity
+def permutation_sign(seq) -> int:
+    """Sign of the permutation that sorts a sequence of distinct values."""
+    sign = 1
+    for i, x in enumerate(seq):
+        for y in seq[i + 1:]:
+            if x > y:
+                sign = -sign
+    return sign
 
 
-def _index_table(n: int, k: int, perm) -> list[int]:
+# (n, k, perm) -> index table; unsigned 16-bit entries while n^k allows
+_INDEX_TABLES: dict[tuple, array] = {}
+
+
+def _index_table(n: int, k: int, perm: tuple) -> array:
     """table[target_flat] = source_flat with source digits i_{perm[t]}."""
-    table = []
+    key = (n, k, perm)
+    table = _INDEX_TABLES.get(key)
+    if table is not None:
+        return table
+    entries = []
     stack = [0] * k
     for flat in range(n ** k):
         rem = flat
@@ -127,7 +135,8 @@ def _index_table(n: int, k: int, perm) -> list[int]:
         src = 0
         for t in range(k):
             src = src * n + stack[perm[t]]
-        table.append(src)
+        entries.append(src)
+    table = _INDEX_TABLES[key] = array("H" if n ** k <= 1 << 16 else "L", entries)
     return table
 
 
@@ -138,7 +147,7 @@ def _slot_perms(k: int, slots, signed: bool):
         full = list(range(k))
         for pos, target in enumerate(perm):
             full[slots[pos]] = slots[target]
-        sign = _perm_parity(perm) if signed else 1
+        sign = permutation_sign(perm) if signed else 1
         out.append((tuple(full), sign))
     return out
 
@@ -196,8 +205,6 @@ def project_components(comps, n: int, diagram: YoungDiagram, zero):
 def is_symmetric(comps, n: int, diagram: YoungDiagram, zero) -> bool:
     """True iff the component array is fixed by its symmetry projector."""
     projected = project_components(comps, n, diagram, zero)
-    if isinstance(zero, Fraction):
-        return all(a == b for a, b in zip(projected, comps))
     return all(a == b for a, b in zip(projected, comps))
 
 

@@ -12,12 +12,13 @@ import pytest
 
 from causalcoh.calabi import (CALABI_BACKGROUNDS, CalabiError, CalabiField,
                               background_chart, calabi_diff, calabi_homotopy, calabi_table,
-                              calabi_wave, killing_operator, killing_yano_operator,
-                              linearization_relation_holds, linearized_riemann,
+                              calabi_wave, killing_operator, killing_system,
+                              killing_yano_operator, linearization_relation_holds, linearized_riemann,
                               polynomial_solution_dimension, random_calabi_field,
                               verify_calabi_identities, _fields_equal)
 from causalcoh.causal import SupportClass
 from causalcoh.charts import curvature, de_sitter, minkowski
+from causalcoh.linalg import MatrixQ, sparse_rank
 from causalcoh.tensors import TensorField, box_tensor, metric_trace
 
 SC = SupportClass.SPACELIKE_COMPACT
@@ -170,6 +171,26 @@ def test_solution_dimension_monotone_and_stable():
     assert dims[1] == dims[2] == 10  # stabilizes at the sufficient degree
     below = polynomial_solution_dimension("killing", ds, 1)
     assert below.below_sufficient
+
+
+@pytest.mark.parametrize("operator", ["killing", "killingYano"])
+@pytest.mark.parametrize("chart", [minkowski(4), de_sitter(4, 1)], ids=["flat", "dS"])
+def test_sparse_killing_rank_equals_dense_rank(chart, operator):
+    for degree in (1, 2, 3):
+        nunk, rows = killing_system(operator, chart, degree)
+        assert all(isinstance(c, int) for row in rows for c in row.values())
+        dense = MatrixQ.from_rows([[row.get(i, 0) for i in range(nunk)] for row in rows])
+        assert sparse_rank(rows) == dense.rank()
+        assert polynomial_solution_dimension(operator, chart, degree).dim == nunk - dense.rank()
+
+
+def test_identity_battery_with_non_unit_denominators():
+    # H = 2/3: the conformal factor is (3/2) x0^-1, so no integer
+    # denominator of the chart scalars is 1
+    chart = de_sitter(4, Fraction(2, 3))
+    assert all(g.d != 1 for g in chart.metric_diag + chart.inverse_metric_diag)
+    report = verify_calabi_identities(chart, seed=5, cases=1, check_symmetries=True)
+    assert report.checks and report.all_passed, report.failures()
 
 
 def test_calabi_table_minkowski():

@@ -211,3 +211,25 @@ def test_operations_deterministic():
     assert [(n.degree, n.position, n.dim) for n in l1.nodes] == \
         [(n.degree, n.position, n.dim) for n in l2.nodes]
     assert all(a.outgoing == b.outgoing for a, b in zip(l1.nodes, l2.nodes))
+
+
+def test_exactness_audits_rank_each_map_once(monkeypatch):
+    import random
+
+    from causalcoh.complexes import LESNode, LongExactSeq
+    from causalcoh.generators import random_short_exact_seq
+    ranked = []
+    original = MatrixQ.rank
+    monkeypatch.setattr(MatrixQ, "rank", lambda m: ranked.append(m) or original(m))
+    s = random_short_exact_seq(random.Random(3))
+    degrees = len(s.degrees())
+    assert len(ranked) == 2 * degrees  # i_p and q_p, once each
+    ranked.clear()
+    les = long_exact_sequence(s)
+    ranked.clear()
+    verdicts = check_exactness(les)
+    assert all(v.exact for v in verdicts)
+    assert len(ranked) == len(les.nodes)
+    # the failure detail keeps its wording
+    bad = LongExactSeq([LESNode(0, "A", 2, MatrixQ.identity(1).hstack(MatrixQ.zeros(1, 1)))])
+    assert check_exactness(bad)[0].detail == "rank(in)=0 + rank(out)=1 != dim=2"

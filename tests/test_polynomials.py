@@ -53,12 +53,12 @@ def test_power():
 
 
 def test_rf_normalization_cancels_monomials():
+    # a monomial denominator cancels into negative exponents: x0^2 / x0^3 = x0^-1
     x0 = MultiPolynomial.variable(2, 0)
-    num = x0 * x0
-    den = x0 * x0 * x0
-    r = RationalFunction(num, den)
-    assert r.num.is_constant()
-    assert r.den == x0
+    r = RationalFunction(x0 * x0, x0 * x0 * x0)
+    assert r.num == poly(2, ((-1, 0), 1)) and r.d == 1
+    assert repr(r) == "x0^-1"
+    assert r * RationalFunction.variable(2, 0) == 1
 
 
 def test_rf_fraction_coefficients_move_to_denominator():
@@ -66,15 +66,26 @@ def test_rf_fraction_coefficients_move_to_denominator():
     r = RationalFunction.from_polynomial(half_x)
     assert all(isinstance(c, int) for c in r.num.terms.values())
     assert r.den.constant_value() == 2
+    # one denominator for all terms, reduced against every coefficient
+    r = RationalFunction.from_polynomial(poly(1, ((1,), Fraction(1, 6)), ((0,), Fraction(2, 3))))
+    assert r.num == poly(1, ((1,), 1), ((0,), 4)) and r.d == 6
+    assert (r + r).d == 3 and (r.scale(6)).d == 1
 
 
-def test_rf_equality_cross_multiplication():
-    x = MultiPolynomial.variable(1, 0)
-    one = MultiPolynomial.constant(1, 1)
-    # (x^2 - 1)/(x - 1) == (x + 1)/1 without any gcd computation
-    a = RationalFunction(x * x - one, x - one)
-    b = RationalFunction.from_polynomial(x + one)
-    assert a == b
+def test_rf_non_monomial_divisor_rejected():
+    x = RationalFunction.variable(1, 0)
+    one = RationalFunction.constant(1, 1)
+    with pytest.raises(ValueError):
+        one / (x + one)
+    with pytest.raises(ValueError):
+        RationalFunction(MultiPolynomial.constant(1, 1), poly(1, ((1,), 1), ((0,), -1)))
+    # exact division by monomials, negative and fractional coefficients included
+    assert (x * x + x) / x == x + one
+    assert one / (x.scale(Fraction(-2, 3))) == (one / x).scale(Fraction(-3, 2))
+    # equality is dict equality on the canonical form
+    a = (x * x - one) * (x + one)
+    b = x * x * x + x * x - x - one
+    assert a == b and a.terms == b.terms and a.d == b.d
 
 
 def test_rf_derivative_quotient_rule():
@@ -101,6 +112,7 @@ def test_rf_scale_keeps_int_coefficients():
     assert r == RationalFunction(
         MultiPolynomial.from_terms(3, [((0, 1, 0), 2)]),
         MultiPolynomial.constant(3, 3))
+    assert r.scale(Fraction(3, 2)) == x and r.scale(3).d == 1
 
 
 small_polys = st.lists(
@@ -128,28 +140,46 @@ def test_derivative_leibniz(a, b):
     assert lhs == rhs
 
 
-nonzero_polys = small_polys.filter(lambda p: not p.is_zero())
+laurent_polys = st.lists(
+    st.tuples(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+              st.fractions(min_value=-3, max_value=3, max_denominator=4)),
+    min_size=0, max_size=4).map(
+        lambda ts: RationalFunction.from_polynomial(MultiPolynomial.from_terms(2, ts)))
+
+laurent_monomials = st.tuples(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)).map(
+        lambda t: RationalFunction.from_polynomial(MultiPolynomial.from_terms(2, [t])))
 
 
 @settings(max_examples=60, derandomize=True)
-@given(small_polys, nonzero_polys, small_polys, nonzero_polys)
-def test_rf_field_axioms(an, ad, bn, bd):
-    a = RationalFunction(an, ad)
-    b = RationalFunction(bn, bd)
+@given(laurent_polys, laurent_polys, laurent_polys, laurent_monomials)
+def test_rf_laurent_ring_axioms(a, b, c, u):
+    zero = RationalFunction.constant(2, 0)
+    one = RationalFunction.constant(2, 1)
+    assert (a + b) + c == a + (b + c)
     assert a + b == b + a
     assert a * b == b * a
-    assert (a + b) - b == a
-    if not b.is_zero():
-        assert (a / b) * b == a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a - b) + b == a
+    assert a + zero == a and a * one == a and (a - a).is_zero()
+    # the units are the monomials: division by one is exact
+    assert (a / u) * u == a
+    assert (a * u) / u == a
+    assert (a * b).derivative(1) == a.derivative(1) * b + a * b.derivative(1)
 
 
 @settings(max_examples=40, derandomize=True)
-@given(small_polys, nonzero_polys)
-def test_rf_evaluation_consistent(n, d):
-    r = RationalFunction(n, d)
-    point = (Fraction(3), Fraction(5))
-    try:
-        expected = n.evaluate(point) / d.evaluate(point)
-    except ZeroDivisionError:
-        return
-    assert r.evaluate(point) == expected
+@given(laurent_polys, laurent_polys, laurent_monomials, st.randoms(use_true_random=False))
+def test_rf_evaluation_consistent(a, b, u, rng):
+    # evaluation at a point with nonzero coordinates is a ring homomorphism;
+    # the right-hand sides are computed in Fraction arithmetic
+    point = tuple(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+                  for _ in range(2))
+    pa, pb, pu = a.evaluate(point), b.evaluate(point), u.evaluate(point)
+    assert (a + b).evaluate(point) == pa + pb
+    assert (a - b).evaluate(point) == pa - pb
+    assert (a * b).evaluate(point) == pa * pb
+    assert (a / u).evaluate(point) == pa / pu
+    assert a.scale(Fraction(-5, 7)).evaluate(point) == pa * Fraction(-5, 7)

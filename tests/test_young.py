@@ -109,3 +109,14 @@ def test_rank_zero_type_at_small_n():
     comps = [Fraction(rng.randrange(-3, 4)) for _ in range(3 ** 6)]
     projected = project_components(comps, 3, d, Fraction(0))
     assert all(c == 0 for c in projected)
+
+
+def test_index_table_cached_and_compact():
+    from causalcoh.young import _index_table
+    perm = (1, 0, 2, 3)
+    table = _index_table(4, 4, perm)
+    assert _index_table(4, 4, perm) is table
+    assert table.typecode == "H" and len(table) == 256
+    # entry at target (a, b, c, d) is the source (b, a, c, d)
+    assert all(table[((a * 4 + b) * 4 + c) * 4 + d] == ((b * 4 + a) * 4 + c) * 4 + d
+               for a in range(4) for b in range(4) for c in range(4) for d in range(4))

@@ -40,16 +40,11 @@ SOLUTION_SUPPORTS = (SupportClass.SPACELIKE_COMPACT, SupportClass.UNRESTRICTED)
 
 @dataclass(frozen=True)
 class SpacetimeModel:
-    """Dimension-n spacetime presented as a line times a Cauchy slice.
-
-    ``conal`` only relabels the causal structure in reports; the dimension
-    formulas are identical for cone-bundle causality.
-    """
+    """Dimension-n spacetime presented as a line times a Cauchy slice."""
 
     n: int
     sigma: CohomologyProfile
     label: str = ""
-    conal: bool = False
 
     def __post_init__(self):
         if self.n < 2:

@@ -3,8 +3,9 @@
 Every report is deterministic for identical arguments (fixed seeds, sorted
 keys, no timestamps): repeated invocations are byte-identical.  Exit codes:
 0 on success and all-pass verification, 1 on any identity or audit
-failure or when stdout closes before the report is written, 2 on usage or
-input errors.
+failure, on a failed internal invariant or when stdout closes before the
+report is written, 2 on usage or input errors.  Invariant failures and
+input errors both print a JSON diagnostic instead of the report.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import json
 import os
 import sys
 
-from .calabi import (CALABI_BACKGROUNDS, CalabiError, SOLUTION_OPERATORS, background_chart,
-                     calabi_table, polynomial_solution_dimension)
+from .calabi import (CALABI_BACKGROUNDS, CalabiError, CalabiIndexingError, SOLUTION_OPERATORS,
+                     background_chart, calabi_table, polynomial_solution_dimension)
 from .causal import (SOLUTION_SUPPORTS, SpacetimeModel, SupportClass, full_table,
                      pairing_audit, route_consistency)
 from .charts import ChartError
@@ -29,8 +30,12 @@ from .young import YoungDiagram, hook_rank
 
 SCHEMA = "causalcoh.report/v1"
 
-_INPUT_ERRORS = (CalabiError, ChartError, ComplexError, ExactnessError,
-                 TriangulationError, TensorError, ValueError, json.JSONDecodeError)
+# Failures of the program's own invariants, not of its input: no command
+# takes a complex, the gates of calabi_table compare two routes to one
+# table, and contractibility_check asserts a theorem.
+_INVARIANT_ERRORS = (CalabiIndexingError, ComplexError, ExactnessError, AssertionError)
+_INPUT_ERRORS = (CalabiError, ChartError, TriangulationError, TensorError, ValueError,
+                 json.JSONDecodeError)
 
 
 def _digest(payload: dict) -> str:
@@ -263,11 +268,11 @@ def main(argv=None, stdout=None) -> int:
     try:
         try:
             code = handlers[args.command](args, out)
-        except _INPUT_ERRORS as exc:
+        except (*_INVARIANT_ERRORS, *_INPUT_ERRORS) as exc:
             out.write(json.dumps({"schema": SCHEMA, "error": str(exc),
                                   "error_type": type(exc).__name__}, sort_keys=True))
             out.write("\n")
-            code = 2
+            code = 1 if isinstance(exc, _INVARIANT_ERRORS) else 2
         out.flush()
     except BrokenPipeError:
         # The reader of the report has gone.  Write nothing more, and point

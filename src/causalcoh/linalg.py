@@ -1,12 +1,16 @@
 """Exact linear algebra over the rational field.
 
 Scalars are :class:`fractions.Fraction` values, which are always stored
-gcd-reduced with a positive denominator (zero is ``0/1``).  Matrices are
-dense, treated as immutable, and every elimination routine picks the first
-nonzero pivot in column order, so identical inputs yield bit-identical
-outputs.  :func:`independent_columns` eliminates column by column in
-sparse form, for the large sparse coboundaries of triangulations, and
-:func:`sparse_rank` ranks sparse integer systems with the same step.
+gcd-reduced with a positive denominator (zero is ``0/1``).  :class:`MatrixQ`
+is a dense, immutable container of them.  All elimination is one sparse
+step, :func:`_reduce_into`, which reduces a vector (dict index -> exact
+value) against an echelon basis and pivots on the lowest index:
+:meth:`MatrixQ.rank` eliminates the rows with it; :meth:`MatrixQ.rref`,
+``kernel_basis``, ``solve`` and ``inverse`` back-substitute the resulting
+basis into the unique reduced row echelon form; :func:`independent_columns`
+eliminates the columns of the large sparse coboundaries of triangulations;
+and :func:`sparse_rank` ranks sparse integer systems.  Identical inputs
+yield bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -171,69 +175,18 @@ class MatrixQ:
     # -- elimination ----------------------------------------------------
 
     def rref(self) -> tuple["MatrixQ", tuple[int, ...]]:
-        """Reduced row echelon form and the tuple of pivot columns.
-
-        Pivot choice is the first nonzero entry in column order, which
-        makes the result (and everything derived from it) deterministic.
-        """
-        m = [list(row) for row in self._m]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pr = None
-            for i in range(r, self.rows):
-                if m[i][c]:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            if pr != r:
-                m[r], m[pr] = m[pr], m[r]
-            inv = m[r][c]
-            if inv != 1:
-                m[r] = [v / inv for v in m[r]]
-            mr = m[r]
-            for i in range(self.rows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    mi = m[i]
-                    for j in range(c, self.cols):
-                        if mr[j]:
-                            mi[j] -= f * mr[j]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return MatrixQ(self.rows, self.cols, m), tuple(pivots)
+        """Reduced row echelon form and the tuple of pivot columns."""
+        rows = _rref_rows(map(_sparse, self._m))
+        grid = [[_F0] * self.cols for _ in range(self.rows)]
+        for out, (_, row) in zip(grid, rows):
+            for j, x in row.items():
+                out[j] = x
+        return MatrixQ(self.rows, self.cols, grid), tuple(p for p, _ in rows)
 
     def rank(self) -> int:
-        """Rank over the rationals via forward Gaussian elimination."""
-        m = [list(row) for row in self._m]
-        r = 0
-        for c in range(self.cols):
-            pr = None
-            for i in range(r, self.rows):
-                if m[i][c]:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            if pr != r:
-                m[r], m[pr] = m[pr], m[r]
-            mr = m[r]
-            piv = mr[c]
-            for i in range(r + 1, self.rows):
-                f = m[i][c]
-                if f:
-                    f = f / piv
-                    mi = m[i]
-                    for j in range(c, self.cols):
-                        if mr[j]:
-                            mi[j] -= f * mr[j]
-            r += 1
-            if r == self.rows:
-                break
-        return r
+        """Rank over the rationals: the size of an echelon basis of the rows."""
+        basis: dict[int, dict] = {}
+        return sum(_reduce_into(basis, row) for row in map(_sparse, self._m))
 
     def kernel_basis(self) -> "MatrixQ":
         """Columns spanning the kernel, in the canonical rref convention.
@@ -241,17 +194,18 @@ class MatrixQ:
         For each free column f the basis vector has 1 at f and
         ``-R[i][f]`` at the i-th pivot column.
         """
-        R, pivots = self.rref()
-        pivset = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivset]
-        cols = []
-        for f in free:
-            v = [_F0] * self.cols
-            v[f] = _F1
-            for i, p in enumerate(pivots):
-                v[p] = -R._m[i][f]
-            cols.append(v)
-        return MatrixQ.from_columns(cols, rows=self.cols)
+        rows = _rref_rows(map(_sparse, self._m))
+        pivots = {p for p, _ in rows}
+        cols = {}
+        for f in range(self.cols):
+            if f not in pivots:
+                cols[f] = [_F0] * self.cols
+                cols[f][f] = _F1
+        for p, row in rows:
+            for f, x in row.items():
+                if f != p:
+                    cols[f][p] = -x
+        return MatrixQ.from_columns(list(cols.values()), rows=self.cols)
 
     def solve(self, rhs: "MatrixQ") -> "MatrixQ | None":
         """A particular solution X of ``self * X = rhs`` (free vars = 0).
@@ -261,16 +215,16 @@ class MatrixQ:
         """
         if rhs.rows != self.rows:
             raise ValueError("rhs row count mismatch")
-        aug = self.hstack(rhs)
-        R, pivots = aug.rref()
-        for p in pivots:
-            if p >= self.cols:
-                return None
-        out = [[_F0] * rhs.cols for _ in range(self.cols)]
-        for i, p in enumerate(pivots):
-            for j in range(rhs.cols):
-                out[p][j] = R._m[i][self.cols + j]
-        return MatrixQ(self.cols, rhs.cols, out)
+        n = self.cols
+        rows = _rref_rows(_sparse(a + b) for a, b in zip(self._m, rhs._m))
+        if rows and rows[-1][0] >= n:
+            return None  # a pivot in the right-hand side
+        out = [[_F0] * rhs.cols for _ in range(n)]
+        for p, row in rows:
+            for j, x in row.items():
+                if j >= n:
+                    out[p][j - n] = x
+        return MatrixQ(n, rhs.cols, out)
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
@@ -330,6 +284,35 @@ def _reduce_into(basis: dict[int, dict], v: dict) -> bool:
     return False
 
 
+def _rref_rows(vectors: Iterable[dict]) -> list[tuple[int, dict]]:
+    """The nonzero rows of the reduced row echelon form of ``vectors``.
+
+    Returns (pivot, row) pairs in ascending pivot order; each row is 1 at
+    its pivot and 0 at every other pivot.  The vectors are reduced into an
+    echelon basis by :func:`_reduce_into`, then back-substituted over the
+    pivots in descending order, so every later pivot row is already reduced
+    when it is subtracted.  The reduced row echelon form is unique, so the
+    rows do not depend on the order of elimination.
+    """
+    basis: dict[int, dict] = {}
+    for v in vectors:
+        _reduce_into(basis, v)
+    pivots = sorted(basis)
+    for p in reversed(pivots):
+        row = basis[p]
+        # a reduced pivot row is 0 at every other pivot, so subtracting it
+        # clears one pivot column of ``row`` and leaves the others alone
+        for k in [k for k in row if k != p and k in basis]:
+            c = row[k]
+            for j, x in basis[k].items():
+                y = row.get(j, 0) - c * x
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+    return [(p, basis[p]) for p in pivots]
+
+
 def _sparse(col: tuple) -> dict:
     # integral entries are reduced as ints, which Fraction arithmetic
     # accepts exactly and which are much cheaper
@@ -362,10 +345,3 @@ def sparse_rank(vectors: Iterable[dict]) -> int:
     """
     basis: dict[int, dict] = {}
     return sum(_reduce_into(basis, dict(v)) for v in vectors)
-
-
-def column_space_contains(basis: MatrixQ, vectors: MatrixQ) -> bool:
-    """True iff every column of ``vectors`` lies in the span of ``basis``."""
-    if basis.rows != vectors.rows:
-        raise ValueError("row count mismatch")
-    return basis.solve(vectors) is not None

@@ -126,9 +126,3 @@ def test_euler_alternating_sum():
 def test_compact_row_is_shifted_slice_compact():
     model = sphere_model()
     assert full_table(model).row(CP) == (0, 1, 0, 0, 1)
-
-
-def test_conal_flag_changes_labels_only():
-    base = SpacetimeModel(n=4, sigma=preset_profile("sphere", 3))
-    conal = SpacetimeModel(n=4, sigma=preset_profile("sphere", 3), conal=True)
-    assert full_table(base).dims == full_table(conal).dims

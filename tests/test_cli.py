@@ -7,7 +7,11 @@ import sys
 import pytest
 
 import causalcoh
+import causalcoh.cli as cli_module
+import causalcoh.verify as verify_module
+from causalcoh.calabi import CalabiIndexingError
 from causalcoh.cli import main
+from causalcoh.complexes import ComplexError, ExactnessError
 
 
 def run_cli(*args):
@@ -150,6 +154,31 @@ def test_verify_failure_exits_1(monkeypatch):
     code, rep = run_json("verify", "--suite", "young")
     assert code == 1
     assert rep["results"]["failures"] == ["synthetic failure"]
+
+
+def _raise(exc):
+    def engine(*args, **kwargs):
+        raise exc
+    return engine
+
+
+@pytest.mark.parametrize("module, name, exc, argv", [
+    (cli_module, "calabi_table", CalabiIndexingError, ("calabi", "--background", "deSitter4")),
+    (verify_module, "long_exact_sequence", ExactnessError,
+     ("verify", "--suite", "homology", "--cases", "1")),
+    (verify_module, "random_short_exact_seq", ComplexError,
+     ("verify", "--suite", "homology", "--cases", "1")),
+    (verify_module, "contractibility_check", AssertionError,
+     ("verify", "--suite", "homology", "--cases", "4")),
+])
+def test_internal_invariant_failure_exits_1(monkeypatch, capsys, module, name, exc, argv):
+    # a failed engine invariant is the program's fault, not the input's
+    monkeypatch.setattr(module, name, _raise(exc("synthetic")))
+    code, rep = run_json(*argv)
+    assert code == 1
+    assert rep == {"schema": "causalcoh.report/v1", "error": "synthetic",
+                   "error_type": exc.__name__}
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_byte_identical_reports():

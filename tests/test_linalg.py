@@ -1,14 +1,121 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalcoh.linalg import MatrixQ, column_space_contains, kernel_basis, rank
+from causalcoh.linalg import MatrixQ, kernel_basis, rank
+
+_F0 = Fraction(0)
+_F1 = Fraction(1)
 
 
 def mat(rows):
     return MatrixQ.from_rows(rows)
+
+
+# -- dense reference implementations ------------------------------------
+#
+# The dense Gaussian elimination loops that MatrixQ ran before all of its
+# elimination went through the sparse step of causalcoh.linalg.  They are
+# kept here as independent oracles: the differential tests below, the
+# cohomology re-rank oracle and the Killing rank test compare against them.
+
+
+def dense_rref(a: MatrixQ) -> tuple[MatrixQ, tuple[int, ...]]:
+    """Reduced row echelon form and pivots by dense Gauss-Jordan elimination.
+
+    Pivot choice is the first nonzero entry in column order.
+    """
+    m = [list(a.row(i)) for i in range(a.rows)]
+    pivots = []
+    r = 0
+    for c in range(a.cols):
+        pr = None
+        for i in range(r, a.rows):
+            if m[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+        inv = m[r][c]
+        if inv != 1:
+            m[r] = [v / inv for v in m[r]]
+        mr = m[r]
+        for i in range(a.rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                mi = m[i]
+                for j in range(c, a.cols):
+                    if mr[j]:
+                        mi[j] -= f * mr[j]
+        pivots.append(c)
+        r += 1
+        if r == a.rows:
+            break
+    return MatrixQ(a.rows, a.cols, m), tuple(pivots)
+
+
+def dense_rank(a: MatrixQ) -> int:
+    """Rank over the rationals via dense forward Gaussian elimination."""
+    m = [list(a.row(i)) for i in range(a.rows)]
+    r = 0
+    for c in range(a.cols):
+        pr = None
+        for i in range(r, a.rows):
+            if m[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+        mr = m[r]
+        piv = mr[c]
+        for i in range(r + 1, a.rows):
+            f = m[i][c]
+            if f:
+                f = f / piv
+                mi = m[i]
+                for j in range(c, a.cols):
+                    if mr[j]:
+                        mi[j] -= f * mr[j]
+        r += 1
+        if r == a.rows:
+            break
+    return r
+
+
+def dense_kernel_basis(a: MatrixQ) -> MatrixQ:
+    """Canonical kernel basis read off :func:`dense_rref`: for each free
+    column f, 1 at f and ``-R[i][f]`` at the i-th pivot column."""
+    R, pivots = dense_rref(a)
+    pivset = set(pivots)
+    free = [c for c in range(a.cols) if c not in pivset]
+    cols = []
+    for f in free:
+        v = [_F0] * a.cols
+        v[f] = _F1
+        for i, p in enumerate(pivots):
+            v[p] = -R[i, f]
+        cols.append(v)
+    return MatrixQ.from_columns(cols, rows=a.cols)
+
+
+def dense_solve(a: MatrixQ, rhs: MatrixQ) -> MatrixQ | None:
+    """Particular solution (free variables 0) read off the dense rref of
+    ``[a | rhs]``; None when the system is inconsistent."""
+    R, pivots = dense_rref(a.hstack(rhs))
+    if any(p >= a.cols for p in pivots):
+        return None
+    out = [[_F0] * rhs.cols for _ in range(a.cols)]
+    for i, p in enumerate(pivots):
+        for j in range(rhs.cols):
+            out[p][j] = R[i, a.cols + j]
+    return MatrixQ(a.cols, rhs.cols, out)
 
 
 def test_rank_identity():
@@ -42,7 +149,7 @@ def test_kernel_single_row():
     assert k.shape() == (3, 2)
     assert (m * k).is_zero()
     for v in ([1, -1, 0], [0, 0, 1]):
-        assert column_space_contains(k, MatrixQ.column_vector(v))
+        assert k.solve(MatrixQ.column_vector(v)) is not None
 
 
 def test_solve_particular_and_inconsistent():
@@ -114,3 +221,52 @@ def test_determinism_bit_identical():
     m = mat([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     assert m.rref() == m.rref()
     assert m.kernel_basis() == m.kernel_basis()
+
+
+# -- sparse elimination against the dense oracles -----------------------
+
+_ENTRIES = (0, 0, 0, 1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-2, 3), Fraction(7, 5))
+
+
+def _random_matrix(rng: random.Random, rows: int, cols: int) -> MatrixQ:
+    if rng.random() < 0.4 and rows and cols:
+        # a product through a narrow middle: rank-deficient, with
+        # non-unit and fractional pivots
+        k = rng.randint(0, min(rows, cols))
+        left = MatrixQ(rows, k, [[rng.choice(_ENTRIES) for _ in range(k)] for _ in range(rows)])
+        right = MatrixQ(k, cols, [[rng.choice(_ENTRIES) for _ in range(cols)] for _ in range(k)])
+        return left * right
+    return MatrixQ(rows, cols, [[rng.choice(_ENTRIES) for _ in range(cols)] for _ in range(rows)])
+
+
+def _differential_cases():
+    rng = random.Random(20010)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 7), (7, 2), (5, 5), (3, 9), (9, 4)]
+    for rows, cols in shapes:
+        yield MatrixQ.zeros(rows, cols)
+    for _ in range(400):
+        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        if rng.random() < 0.3:
+            rows, cols = rng.choice(shapes)
+        yield _random_matrix(rng, rows, cols)
+    yield mat([[Fraction(1, 3), Fraction(1, 6)], [Fraction(2, 9), Fraction(1, 9)]])
+    yield mat([[0, 2, 4], [0, 3, 6], [5, 0, 1]])
+
+
+def test_sparse_elimination_matches_dense_oracle():
+    rng = random.Random(7)
+    for m in _differential_cases():
+        assert m.rref() == dense_rref(m), m
+        assert m.rank() == dense_rank(m), m
+        assert m.kernel_basis() == dense_kernel_basis(m), m
+        for rhs in (m * _random_matrix(rng, m.cols, 2),  # consistent
+                    _random_matrix(rng, m.rows, rng.randint(0, 3))):
+            assert m.solve(rhs) == dense_solve(m, rhs), (m, rhs)
+        if m.rows == m.cols:
+            want = dense_solve(m, MatrixQ.identity(m.rows))
+            assert m.is_invertible() == (want is not None)
+            if want is None:
+                with pytest.raises(ValueError):
+                    m.inverse()
+            else:
+                assert m.inverse() == want

@@ -18,6 +18,16 @@ three slots this is
 nabla_a b_{bcd} - nabla_b b_{cda} + nabla_c b_{dab} - nabla_d b_{abc}
 (the + on the third term is forced by the complex property, which the
 verification suite checks machine-exactly).
+
+Every operator is written as the slot-pattern sum of its formula
+(:func:`causalcoh.tensors.pattern_sum`) over nabla T, nabla nabla T, the
+divergence ``trace_pair(nabla(T), 0, 1)`` and the metric products ``odot``:
+``{"abcdef": 1, "bcdaef": -1, ...}`` is the expansion above, term by term.
+No operator here computes a flat component index; the layout lives in the
+index tables of :mod:`causalcoh.young`.  The jet oracle
+:func:`linearized_riemann` and :func:`killing_system` read components by
+their flat index directly, so the oracle stays independent of the kernel
+behind the operators it checks.
 """
 
 from __future__ import annotations
@@ -28,12 +38,13 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .causal import SpacetimeModel, SupportClass, TRIVIAL_SUPPORTS
-from .charts import (Chart, ChartKind, christoffel_from_metric, curvature, de_sitter,
-                     lower_last_index, minkowski, riemann_from_christoffel)
+from .charts import (Chart, ChartKind, christoffel_from_metric, de_sitter, lower_last_index,
+                     minkowski, riemann_from_christoffel)
 from .linalg import sparse_rank
 from .polynomials import MultiPolynomial, RationalFunction
 from .simplicial import preset_profile
-from .tensors import TensorField, _flat, _indices, box_tensor, metric_trace, nabla, odot, trace
+from .tensors import (TensorField, _indices, box_tensor, metric_trace, nabla, odot,
+                      partial_tensor, pattern_sum, trace, trace_pair)
 from .young import CALABI_DIAGRAMS, YoungDiagram, is_symmetric, project_components
 
 
@@ -111,16 +122,12 @@ def calabi_diff(f: CalabiField) -> CalabiField:
     t = f.field
     if level == 0:
         # (diff_1 v)_ab = nabla_a v_b + nabla_b v_a
-        nv = nabla(t)
-        n = chart.n
-        comps = [nv.comps[a * n + b] + nv.comps[b * n + a] for a, b in _indices(n, 2)]
-        out = TensorField(chart, "ll", comps, symmetry=CALABI_DIAGRAMS[1])
-        return CalabiField(1, out)
+        return CalabiField(1, pattern_sum(nabla(t), {"ab": 1, "ba": 1}, CALABI_DIAGRAMS[1]))
     if level == 1:
         return CalabiField(2, _diff2(chart, t))
     if level == 2:
-        return CalabiField(3, _diff3(chart, t))
-    return CalabiField(4, _diff4(chart, t))
+        return CalabiField(3, _diff3(t))
+    return CalabiField(4, _diff4(t))
 
 
 def _diff2(chart: Chart, h: TensorField) -> TensorField:
@@ -132,18 +139,9 @@ def _diff2(chart: Chart, h: TensorField) -> TensorField:
     charts, and the halved curvature term breaks diff_2 o diff_1 = 0 on
     curved ones."""
     n = chart.n
-    nn = nabla(nabla(h))
-    half = Fraction(1, 2)
-
-    def sym2(x, y, u, v):
-        return (nn.comps[((x * n + y) * n + u) * n + v]
-                + nn.comps[((y * n + x) * n + u) * n + v])
-
-    comps = []
-    for a, b, c, d in _indices(n, 4):
-        v = (sym2(a, c, b, d) - sym2(b, c, a, d) - sym2(a, d, b, c) + sym2(b, d, a, c))
-        comps.append(v.scale(half))
-    out = TensorField(chart, "llll", comps, symmetry=CALABI_DIAGRAMS[2])
+    out = pattern_sum(nabla(nabla(h)), {"acbd": 1, "cabd": 1, "bcad": -1, "cbad": -1,
+                                        "adbc": -1, "dabc": -1, "bdac": 1, "dbac": 1},
+                      CALABI_DIAGRAMS[2]).scale(Fraction(1, 2))
     k = chart.scalar_curvature
     if k:
         gh = odot(chart, h, "s2s2")
@@ -151,34 +149,16 @@ def _diff2(chart: Chart, h: TensorField) -> TensorField:
     return out
 
 
-def _diff3(chart: Chart, r: TensorField) -> TensorField:
+def _diff3(r: TensorField) -> TensorField:
     """(diff_3 r)_{abc:de} = nabla_a r_{bc:de} + nabla_b r_{ca:de} + nabla_c r_{ab:de}."""
-    n = chart.n
-    nr = nabla(r)
-
-    def g(x, y, u, v, w):
-        return nr.comps[(((x * n + y) * n + u) * n + v) * n + w]
-
-    comps = []
-    for a, b, c, d, e in _indices(n, 5):
-        comps.append(g(a, b, c, d, e) + g(b, c, a, d, e) + g(c, a, b, d, e))
-    return TensorField(chart, "lllll", comps, symmetry=CALABI_DIAGRAMS[3])
+    return pattern_sum(nabla(r), {"abcde": 1, "bcade": 1, "cabde": 1}, CALABI_DIAGRAMS[3])
 
 
-def _diff4(chart: Chart, b: TensorField) -> TensorField:
+def _diff4(b: TensorField) -> TensorField:
     """(diff_4 b)_{abcd:ef} = nabla_a b_{bcd:ef} - nabla_b b_{cda:ef}
     + nabla_c b_{dab:ef} - nabla_d b_{abc:ef} (= 4 nabla_[a b_{bcd]:ef})."""
-    n = chart.n
-    nb = nabla(b)
-
-    def g(x, i1, i2, i3, e, f_):
-        return nb.comps[(((((x * n + i1) * n + i2) * n + i3) * n + e) * n + f_)]
-
-    comps = []
-    for a, bb, c, d, e, f_ in _indices(n, 6):
-        comps.append(g(a, bb, c, d, e, f_) - g(bb, c, d, a, e, f_)
-                     + g(c, d, a, bb, e, f_) - g(d, a, bb, c, e, f_))
-    return TensorField(chart, "llllll", comps, symmetry=CALABI_DIAGRAMS[4])
+    return pattern_sum(nabla(b), {"abcdef": 1, "bcdaef": -1, "cdabef": 1, "dabcef": -1},
+                       CALABI_DIAGRAMS[4])
 
 
 # -- the homotopies homotopy_l : level l -> level l-1 ------------------------
@@ -186,74 +166,37 @@ def _diff4(chart: Chart, b: TensorField) -> TensorField:
 def calabi_homotopy(f: CalabiField) -> CalabiField:
     """Apply the divergence-type homotopy homotopy_l to a level-l field."""
     level = f.level
-    chart = f.chart
     if level == 0:
         raise CalabiError("no homotopy out of level 0")
     t = f.field
     if level == 1:
         # homotopy_1[h]_a = nabla^b h_ab - 1/2 nabla_a tr h
-        n = chart.n
-        nh = nabla(t)
-        trh = metric_trace(t)
-        ginv = chart.inverse_metric_diag
-        comps = []
-        for a in range(n):
-            v = chart.zero
-            for bb in range(n):
-                g = ginv[bb]
-                if not g.is_zero():
-                    v = v + g * nh.comps[(bb * n + a) * n + bb]
-            v = v - trh.derivative(a).scale(Fraction(1, 2))
-            comps.append(v)
-        return CalabiField(0, TensorField(chart, "l", comps, symmetry=CALABI_DIAGRAMS[0]))
+        out = trace_pair(nabla(t), 0, 2) - partial_tensor(trace(t, "h")).scale(Fraction(1, 2))
+        return CalabiField(0, _with_symmetry(out, 0))
     if level == 2:
         # homotopy_2[r]_ab = r_{ac:b}^c
         return CalabiField(1, _with_symmetry(trace(t, "r"), 1))
     if level == 3:
-        return CalabiField(2, _homotopy3(chart, t))
-    return CalabiField(3, _homotopy4(chart, t))
+        return CalabiField(2, _homotopy3(t))
+    return CalabiField(3, _homotopy4(t))
 
 
 def _with_symmetry(t: TensorField, level: int) -> TensorField:
     return TensorField(t.chart, t.variance, t.comps, symmetry=CALABI_DIAGRAMS[level])
 
 
-def _homotopy3(chart: Chart, b: TensorField) -> TensorField:
+def _homotopy3(b: TensorField) -> TensorField:
     """homotopy_3[b]_{ab:cd} = 1/2 (nabla^e b_{eab:cd} + nabla^e b_{ecd:ab})
     - 1/2 (nabla_a tb_{cd:b} - nabla_b tb_{cd:a} + nabla_c tb_{ab:d} - nabla_d tb_{ab:c}),
     with tb_{xy:z} = b_{xye:z}^e."""
-    n = chart.n
-    nb = nabla(b)
-    tb = trace(b, "b3")
-    ntb = nabla(tb)
-    ginv = chart.inverse_metric_diag
-    half = Fraction(1, 2)
-
-    def div(i1, i2, i3, i4):
-        # nabla^e b_{e i1 i2 : i3 i4} = g^{ef} (nabla b)[f, e, i1, i2, i3, i4]
-        v = chart.zero
-        for e in range(n):
-            g = ginv[e]
-            if g.is_zero():
-                continue
-            w = nb.comps[(((((e * n + e) * n + i1) * n + i2) * n + i3) * n + i4)]
-            if not w.is_zero():
-                v = v + g * w
-        return v
-
-    def dt(x, i1, i2, i3):
-        return ntb.comps[((x * n + i1) * n + i2) * n + i3]
-
-    comps = []
-    for a, bb, c, d in _indices(n, 4):
-        v = (div(a, bb, c, d) + div(c, d, a, bb)).scale(half)
-        v = v - (dt(a, c, d, bb) - dt(bb, c, d, a)
-                 + dt(c, a, bb, d) - dt(d, a, bb, c)).scale(half)
-        comps.append(v)
-    return TensorField(chart, "llll", comps, symmetry=CALABI_DIAGRAMS[2])
+    div = trace_pair(nabla(b), 0, 1)
+    ntb = nabla(trace(b, "b3"))
+    out = (pattern_sum(div, {"abcd": 1, "cdab": 1})
+           - pattern_sum(ntb, {"acdb": 1, "bcda": -1, "cabd": 1, "dabc": -1}))
+    return _with_symmetry(out.scale(Fraction(1, 2)), 2)
 
 
-def _homotopy4(chart: Chart, b: TensorField) -> TensorField:
+def _homotopy4(b: TensorField) -> TensorField:
     """homotopy_4[b]_{abc:de} = 1/3 (2 nabla^f b_{fabc:de} + nabla^f b_{fdea:bc}
     + nabla^f b_{fdeb:ca} + nabla^f b_{fdec:ab})
     + 1/6 (2 nabla_d tb_{abc:e} - 2 nabla_e tb_{abc:d}
@@ -261,39 +204,14 @@ def _homotopy4(chart: Chart, b: TensorField) -> TensorField:
            - nabla_b tb_{dec:a} + nabla_b tb_{dea:c}
            - nabla_c tb_{dea:b} + nabla_c tb_{deb:a}),
     with tb_{xyz:w} = b_{xyzf:w}^f."""
-    n = chart.n
-    nb = nabla(b)
-    tb = trace(b, "b4")
-    ntb = nabla(tb)
-    ginv = chart.inverse_metric_diag
-    third = Fraction(1, 3)
-    sixth = Fraction(1, 6)
-
-    def div(i1, i2, i3, i4, i5):
-        # nabla^f b_{f i1 i2 i3 : i4 i5}
-        v = chart.zero
-        for f_ in range(n):
-            g = ginv[f_]
-            if g.is_zero():
-                continue
-            w = nb.comps[((((((f_ * n + f_) * n + i1) * n + i2) * n + i3) * n + i4) * n + i5)]
-            if not w.is_zero():
-                v = v + g * w
-        return v
-
-    def dt(x, i1, i2, i3, i4):
-        return ntb.comps[(((x * n + i1) * n + i2) * n + i3) * n + i4]
-
-    comps = []
-    for a, bb, c, d, e in _indices(n, 5):
-        v = (div(a, bb, c, d, e).scale(2) + div(d, e, a, bb, c)
-             + div(d, e, bb, c, a) + div(d, e, c, a, bb)).scale(third)
-        v = v + (dt(d, a, bb, c, e).scale(2) - dt(e, a, bb, c, d).scale(2)
-                 - dt(a, d, e, bb, c) + dt(a, d, e, c, bb)
-                 - dt(bb, d, e, c, a) + dt(bb, d, e, a, c)
-                 - dt(c, d, e, a, bb) + dt(c, d, e, bb, a)).scale(sixth)
-        comps.append(v)
-    return TensorField(chart, "lllll", comps, symmetry=CALABI_DIAGRAMS[3])
+    div = trace_pair(nabla(b), 0, 1)
+    ntb = nabla(trace(b, "b4"))
+    out = (pattern_sum(div, {"abcde": 2, "deabc": 1, "debca": 1, "decab": 1})
+           .scale(Fraction(1, 3))
+           + pattern_sum(ntb, {"dabce": 2, "eabcd": -2, "adebc": -1, "adecb": 1,
+                               "bdeca": -1, "bdeac": 1, "cdeab": -1, "cdeba": 1})
+           .scale(Fraction(1, 6)))
+    return _with_symmetry(out, 3)
 
 
 # -- the wave-type cochain maps wave_l : level l -> level l ------------------
@@ -345,12 +263,7 @@ def killing_operator(f: CalabiField) -> CalabiField:
 
 def killing_yano_operator(chart: Chart, w: TensorField) -> TensorField:
     """Y[w]_abc = nabla_a w_bc + nabla_b w_ac on an antisymmetric 2-tensor."""
-    n = chart.n
-    nw = nabla(w)
-    comps = []
-    for a, b, c in _indices(n, 3):
-        comps.append(nw.comps[(a * n + b) * n + c] + nw.comps[(b * n + a) * n + c])
-    return TensorField(chart, "lll", comps)
+    return pattern_sum(nabla(w), {"abc": 1, "bac": 1})
 
 
 # -- seeded random field corpus ----------------------------------------------
@@ -605,6 +518,8 @@ def killing_system(operator: str, chart: Chart, degree_bound: int) -> tuple[int,
     """
     if operator not in SOLUTION_OPERATORS:
         raise CalabiError(f"unknown operator {operator!r}")
+    if degree_bound < 0:
+        raise CalabiError(f"degree bound must be >= 0, got {degree_bound}")
     n = chart.n
     monos = _monomials_up_to(n, degree_bound)
     unknown_fields = []

@@ -171,6 +171,7 @@ def _cmd_calabi(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
+    _resolve_suite_arguments(args)
     kwargs = {"seed": args.seed, "cases": args.cases, "degree": args.degree}
     if args.suite == "calabi":
         kwargs["background"] = args.background
@@ -231,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=SUITES, required=True)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--degree", type=int, default=2)
+    p.add_argument("--degree", type=int, default=None)
     p.add_argument("--cases", type=int, default=None)
     p.add_argument("--background", choices=CALABI_BACKGROUNDS, default="minkowski4")
     p.add_argument("--format", choices=("json", "md"), default="json")
@@ -249,15 +250,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DEFAULT_CASES = {"homology": 100, "forms": 20, "calabi": 3, "young": 0}
+# Per-suite values of the verify arguments left out of the command line, as
+# the report's inputs echo them, and the arguments each suite reads.  An
+# explicit value for an argument the suite does not read is an input error.
+_SUITE_DEFAULTS = {
+    "homology": {"cases": 100, "degree": 2},
+    "forms": {"cases": 20, "degree": 2},
+    "calabi": {"cases": 3, "degree": 2},
+    "young": {"cases": 0, "degree": 2},
+}
+_SUITE_READS = {"homology": ("cases",), "forms": ("cases", "degree"),
+                "calabi": ("cases", "degree"), "young": ()}
+
+
+def _resolve_suite_arguments(args) -> None:
+    for name, default in _SUITE_DEFAULTS[args.suite].items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif name not in _SUITE_READS[args.suite]:
+            raise ValueError(f"verify --suite {args.suite} does not use --{name}")
 
 
 def main(argv=None, stdout=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.cases is None:
-        args.cases = _DEFAULT_CASES[args.suite]
     handlers = {
         "derham": _cmd_derham,
         "calabi": _cmd_calabi,

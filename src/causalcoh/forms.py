@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .tensors import TensorField, _flat, _indices, raise_first_index
-from .young import permutation_sign
+from .young import _index_table, permutation_sign
 
 
 class FormError(ValueError):
@@ -144,17 +144,10 @@ def hodge_star(w: TensorField) -> TensorField:
 
 
 def _rotate_first_to_last(t: TensorField) -> TensorField:
-    n = t.chart.n
+    """T'[i_1, .., i_{r-1}, i_0] = T[i_0, i_1, .., i_{r-1}]."""
     r = t.rank
-    if r <= 1:
-        return TensorField(t.chart, t.variance, t.comps)
-    size = n ** (r - 1)
-    comps = [None] * (n ** r)
-    for first in range(n):
-        base = first * size
-        for rest in range(size):
-            comps[rest * n + first] = t.comps[base + rest]
-    return TensorField(t.chart, t.variance[1:] + t.variance[0], comps)
+    table = _index_table(t.chart.n, r, (r - 1,) + tuple(range(r - 1)))
+    return TensorField(t.chart, t.variance[1:] + t.variance[:1], [t.comps[i] for i in table])
 
 
 def _factorial(k: int) -> int:

@@ -8,7 +8,7 @@ Künneth product combinator, never by infinite triangulations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 

@@ -5,16 +5,24 @@ Components are stored densely with the flat index
 keeps this comfortably small.  The covariant derivative exploits the
 sparsity of conformally flat Christoffel symbols: corrections iterate over
 the O(n) nonzero symbols instead of the dense n^3 cube.
+
+Index permutations are never spelled out as flat-index arithmetic:
+:func:`pattern_sum` writes a signed sum of slot permutations as letter
+patterns, ``{"abc": 1, "bac": 1}`` for t_abc + t_bac, and evaluates it
+through the cached index tables of :mod:`causalcoh.young`, which hold the
+layout above in one place.  The metric products ``odot`` are such sums
+over the outer product g_xy t_...
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from string import ascii_lowercase
 from typing import Callable, Sequence
 
 from .charts import Chart
 from .polynomials import RationalFunction
-from .young import YoungDiagram
+from .young import YoungDiagram, slot_combination
 
 LOWER = "l"
 UPPER = "u"
@@ -302,73 +310,72 @@ def metric_trace(t: TensorField) -> RationalFunction:
     return trace_pair(t, 0, 1).comps[0]
 
 
+# -- signed sums of slot permutations -----------------------------------------
+
+def pattern_sum(t: TensorField, patterns: dict[str, int],
+                symmetry: YoungDiagram | None = None) -> TensorField:
+    """out_{ab...} = sum over ``patterns`` of c * t_{pattern}, c an int.
+
+    A pattern is a word in the first ``t.rank`` letters, each used once;
+    the output's slots are those letters in alphabetical order, so
+    ``{"abc": 1, "bac": 1}`` is t_abc + t_bac.  ``t`` is all-lower.
+    """
+    if UPPER in t.variance:
+        raise TensorError("pattern sums permute lower slots only")
+    letters = ascii_lowercase[:t.rank]
+    for word in patterns:
+        if "".join(sorted(word)) != letters:
+            raise TensorError(f"pattern {word!r} is not a permutation of {letters!r}")
+    terms = [(tuple(ord(ch) - ord("a") for ch in word), c) for word, c in patterns.items()]
+    comps = slot_combination(t.comps, t.chart.n, t.rank, terms, t.chart.zero)
+    return TensorField(t.chart, t.variance, comps, symmetry=symmetry)
+
+
 # -- symmetrized products with the metric ------------------------------------
 
 ODOT_SHAPES = ("s2s2", "s2_21", "s2_211")
+
+# shape -> (input rank, sign of the input's (0, 1) swap, output symmetry,
+# patterns over the outer product g_xy t_...)
+_ODOT = {
+    "s2s2": (2, 1, YoungDiagram((2, 2)),
+             {"acbd": 1, "bcad": -1, "adbc": -1, "bdac": 1}),
+    "s2_21": (3, -1, YoungDiagram((2, 2, 1)),
+              {"adbce": 1, "bdcae": 1, "cdabe": 1,
+               "aebcd": -1, "becad": -1, "ceabd": -1}),
+    "s2_211": (4, -1, YoungDiagram((2, 2, 1, 1)),
+               {"aebcdf": 1, "becdaf": -1, "cedabf": 1, "deabcf": -1,
+                "afbcde": -1, "bfcdae": 1, "cfdabe": -1, "dfabce": 1}),
+}
 
 
 def odot(chart: Chart, t: TensorField, shape: str) -> TensorField:
     """The metric-symmetrized products used by the constant-curvature complex.
 
     ``s2s2``  : symmetric h_bd -> (g@h)_abcd = g_ac h_bd - g_bc h_ad - g_ad h_bc + g_bd h_ac
-    ``s2_21`` : t_{bc:e} (antisymmetric pair + single) -> rank 5 of type (2,2,1)
-    ``s2_211``: t_{bcd:e} (antisymmetric triple + single) -> rank 6 of type (2,2,1,1)
+    ``s2_21`` : t_{bc:e} (antisymmetric pair + single) -> rank 5 of type (2,2,1),
+                g_ad t_bce + g_bd t_cae + g_cd t_abe - (d <-> e)
+    ``s2_211``: t_{bcd:e} (antisymmetric triple + single) -> rank 6 of type (2,2,1,1),
+                g_ae t_bcdf - g_be t_cdaf + g_ce t_dabf - g_de t_abcf - (e <-> f)
+
+    Each is a pattern sum over the outer product g_xy t_...
     """
-    n = chart.n
-    g = chart.metric_component
-    if shape == "s2s2":
-        if t.rank != 2:
-            raise TensorError("s2s2 expects a rank-2 input")
-        _require_symmetry(t, ((0, 1), 1))
-        out = []
-        for a, b, c, d in _indices(n, 4):
-            v = (g(a, c) * t.get(b, d) - g(b, c) * t.get(a, d)
-                 - g(a, d) * t.get(b, c) + g(b, d) * t.get(a, c))
-            out.append(v)
-        return TensorField(chart, "llll", out, symmetry=YoungDiagram((2, 2)))
-    if shape == "s2_21":
-        if t.rank != 3:
-            raise TensorError("s2_21 expects a rank-3 input")
-        _require_symmetry(t, ((0, 1), -1))
-        out = []
-        for a, b, c, d, e in _indices(n, 5):
-            v = (g(a, d) * t.get(b, c, e) + g(b, d) * t.get(c, a, e) + g(c, d) * t.get(a, b, e)
-                 - g(a, e) * t.get(b, c, d) - g(b, e) * t.get(c, a, d) - g(c, e) * t.get(a, b, d))
-            out.append(v)
-        return TensorField(chart, "lllll", out, symmetry=YoungDiagram((2, 2, 1)))
-    if shape == "s2_211":
-        if t.rank != 4:
-            raise TensorError("s2_211 expects a rank-4 input")
-        _require_symmetry(t, ((0, 1), -1))
-        out = []
-        for a, b, c, d, e, f in _indices(n, 6):
-            v = (g(a, e) * t.get(b, c, d, f) - g(b, e) * t.get(c, d, a, f)
-                 + g(c, e) * t.get(d, a, b, f) - g(d, e) * t.get(a, b, c, f)
-                 - g(a, f) * t.get(b, c, d, e) + g(b, f) * t.get(c, d, a, e)
-                 - g(c, f) * t.get(d, a, b, e) + g(d, f) * t.get(a, b, c, e))
-            out.append(v)
-        return TensorField(chart, "llllll", out, symmetry=YoungDiagram((2, 2, 1, 1)))
-    raise TensorError(f"unknown odot shape {shape!r}; expected one of {ODOT_SHAPES}")
+    if shape not in _ODOT:
+        raise TensorError(f"unknown odot shape {shape!r}; expected one of {ODOT_SHAPES}")
+    rank, sign, diagram, patterns = _ODOT[shape]
+    if t.rank != rank:
+        raise TensorError(f"{shape} expects a rank-{rank} input")
+    _require_symmetry(t, sign)
+    zero = chart.zero
+    gt = [zero if g.is_zero() else g * v for g in chart.metric for v in t.comps]
+    return pattern_sum(TensorField(chart, "l" * (rank + 2), gt), patterns, symmetry=diagram)
 
 
-def _require_symmetry(t: TensorField, requirement) -> None:
-    """Cheap input check: (i,j) pair symmetric (+1) or antisymmetric (-1)."""
-    (i, j), sign = requirement
-    n = t.chart.n
-    r = t.rank
-    for idx in _indices(n, r):
-        if idx[i] > idx[j]:
-            continue
-        swapped = list(idx)
-        swapped[i], swapped[j] = swapped[j], swapped[i]
-        lhs = t.comps[_flat(n, idx)]
-        rhs = t.comps[_flat(n, tuple(swapped))]
-        if sign == 1:
-            if not (lhs == rhs):
-                raise TensorError("input lacks the required pair symmetry")
-        else:
-            if not (lhs == -rhs if not rhs.is_zero() else lhs.is_zero()):
-                raise TensorError("input lacks the required pair antisymmetry")
+def _require_symmetry(t: TensorField, sign: int) -> None:
+    """Cheap input check: slots 0 and 1 symmetric (+1) or antisymmetric (-1)."""
+    if pattern_sum(t, {"ba" + ascii_lowercase[2:t.rank]: sign}).comps != t.comps:
+        kind = "symmetry" if sign == 1 else "antisymmetry"
+        raise TensorError(f"input lacks the required pair {kind}")
 
 
 def project(t: TensorField, diagram: YoungDiagram) -> TensorField:

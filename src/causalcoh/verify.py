@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import calabi as _calabi
 from .charts import Chart, de_sitter, minkowski
 from .complexes import check_exactness, contractibility_check, long_exact_sequence
-from .forms import box_de_rham, exterior_derivative, is_form
+from .forms import box_de_rham, exterior_derivative
 from .generators import (invertible_null_homotopic_map, random_contractible_complex,
                          random_short_exact_seq)
-from .tensors import TensorField, _indices
+from .tensors import TensorField
 from .young import (CALABI_DIAGRAMS, group_algebra_idempotent, hook_rank, projector_rank,
                     symmetrize_slots)
 
@@ -108,6 +107,8 @@ def run_forms_suite(seed: int = 0, cases: int = 50, degree: int = 3) -> SuiteRep
     random polynomial forms over both backgrounds, plus the flat scalar
     calibration of the codifferential sign."""
     _require_cases(cases)
+    if degree < 0:
+        raise ValueError(f"degree must be at least 0, got {degree}")
     items = []
     for chart, label in ((minkowski(4), "minkowski4"), (de_sitter(4, 1), "deSitter4")):
         rng = random.Random(seed)

@@ -10,10 +10,17 @@ each column, and divides by the product of hook lengths, which makes it
 idempotent.  Its rank on n-dimensional indices is the hook content
 formula: the product over cells of (n + column - row) divided by the
 product of hook lengths.
+
+Dense component arrays use the row-major flat index
+``(((i_0 * n) + i_1) * n + ...) + i_{k-1}``, and ``_index_table`` is the
+one place that computes it.  On those tables ``slot_combination`` builds
+the signed sum of slot permutations to which every Young projection,
+Calabi operator and metric product reduces.
 """
 
 from __future__ import annotations
 
+import operator
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -152,36 +159,51 @@ def _slot_perms(k: int, slots, signed: bool):
     return out
 
 
+def slot_combination(comps, n: int, k: int, terms, zero):
+    """out[I] = sum of c * comps[I o perm] over the (perm, c) terms, c an int.
+
+    ``I o perm`` is the index whose slot t holds I[perm[t]], the lookup of
+    ``_index_table(n, k, perm)``.  Each nonzero input component is pushed to
+    its target through the table of the inverse permutation, so zero inputs
+    cost nothing.  ``zero`` is the ring's zero (a ``Fraction`` or a chart
+    scalar) and fixes the zero test and the integer scaling once per call.
+    """
+    is_zero, scale = _ring_ops(zero)
+    nonzero = [(i, v) for i, v in enumerate(comps) if not is_zero(v)]
+    out = [zero] * (n ** k)
+    for perm, c in terms:
+        inverse = [0] * k
+        for t, p in enumerate(perm):
+            inverse[p] = t
+        table = _index_table(n, k, tuple(inverse))
+        if c == 1:
+            for src, v in nonzero:
+                tgt = table[src]
+                out[tgt] = out[tgt] + v
+        elif c == -1:
+            for src, v in nonzero:
+                tgt = table[src]
+                out[tgt] = out[tgt] - v
+        else:
+            for src, v in nonzero:
+                tgt = table[src]
+                out[tgt] = out[tgt] + scale(v, c)
+    return out
+
+
 def symmetrize_slots(comps, n: int, k: int, slots, signed: bool, zero):
     """Sum over permutations of the given slots (signed for antisymmetry)."""
     if len(slots) < 2:
         return list(comps)
-    out = [zero] * (n ** k)
-    for perm, sign in _slot_perms(k, slots, signed):
-        table = _index_table(n, k, perm)
-        if sign == 1:
-            for tgt, src in enumerate(table):
-                v = comps[src]
-                if not _is_zero(v):
-                    out[tgt] = out[tgt] + v
-        else:
-            for tgt, src in enumerate(table):
-                v = comps[src]
-                if not _is_zero(v):
-                    out[tgt] = out[tgt] - v
-    return out
+    return slot_combination(comps, n, k, _slot_perms(k, slots, signed), zero)
 
 
-def _is_zero(v) -> bool:
-    if isinstance(v, Fraction):
-        return not v
-    return v.is_zero()
-
-
-def _scale(v, c: Fraction):
-    if isinstance(v, Fraction):
-        return v * c
-    return v.scale(c)
+def _ring_ops(zero):
+    """The zero test and scaling of the ring whose zero is ``zero``."""
+    if isinstance(zero, Fraction):
+        return operator.not_, operator.mul
+    ring = type(zero)
+    return ring.is_zero, ring.scale
 
 
 def project_components(comps, n: int, diagram: YoungDiagram, zero):
@@ -199,7 +221,8 @@ def project_components(comps, n: int, diagram: YoungDiagram, zero):
     for col in diagram.column_slots():
         cur = symmetrize_slots(cur, n, k, col, signed=True, zero=zero)
     c = Fraction(1, diagram.hook_product())
-    return [_scale(v, c) for v in cur]
+    _, scale = _ring_ops(zero)
+    return [scale(v, c) for v in cur]
 
 
 def is_symmetric(comps, n: int, diagram: YoungDiagram, zero) -> bool:
@@ -212,30 +235,14 @@ def young_projector(diagram: YoungDiagram, n: int) -> MatrixQ:
     """Dense rational matrix of the projector on (Q^n)^{tensor k}.
 
     Built from the group-algebra form pi = sum c_w P_w: each permutation
-    contributes a single entry per column, at the row whose digits are the
-    column digits pushed through w^{-1}.
+    contributes a single entry per row I, at the column of the index I o w
+    read off ``_index_table``.
     """
     k = diagram.cells
     size = n ** k
-    f0 = Fraction(0)
-    ga = projector_group_algebra(diagram)
-    moves = []
-    for w, c in ga.items():
-        winv = [0] * k
-        for t, s in enumerate(w):
-            winv[s] = t
-        moves.append((tuple(winv), c))
-    grid = [[f0] * size for _ in range(size)]
-    digits = [0] * k
-    for j in range(size):
-        rem = j
-        for t in range(k - 1, -1, -1):
-            digits[t] = rem % n
-            rem //= n
-        for winv, c in moves:
-            i = 0
-            for s in range(k):
-                i = i * n + digits[winv[s]]
+    grid = [[Fraction(0)] * size for _ in range(size)]
+    for w, c in projector_group_algebra(diagram).items():
+        for i, j in enumerate(_index_table(n, k, w)):
             grid[i][j] += c
     return MatrixQ(size, size, grid)
 

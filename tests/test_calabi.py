@@ -5,6 +5,7 @@ small corpus exercises every operator, the symmetry of every output, the
 linearization oracle and the restricted-support tables.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -14,12 +15,13 @@ from causalcoh.calabi import (CALABI_BACKGROUNDS, CalabiError, CalabiField,
                               background_chart, calabi_diff, calabi_homotopy, calabi_table,
                               calabi_wave, killing_operator, killing_system,
                               killing_yano_operator, linearization_relation_holds, linearized_riemann,
-                              polynomial_solution_dimension, random_calabi_field,
+                              polynomial_solution_dimension, random_calabi_field, random_polynomial,
                               verify_calabi_identities, _fields_equal)
 from causalcoh.causal import SupportClass
 from causalcoh.charts import curvature, de_sitter, minkowski
 from causalcoh.linalg import MatrixQ, sparse_rank
-from causalcoh.tensors import TensorField, box_tensor, metric_trace
+from causalcoh.tensors import TensorField, box_tensor, metric_trace, odot, project
+from causalcoh.young import YoungDiagram
 from test_linalg import dense_rank
 
 SC = SupportClass.SPACELIKE_COMPACT
@@ -240,3 +242,43 @@ def test_calabi_table_degree_edge_convention():
 def test_unknown_background_rejected():
     with pytest.raises(CalabiError):
         calabi_table("antiDeSitter4")  # not globally hyperbolic, excluded
+
+
+# Every output component of every operator below, evaluated at PIN_POINT on
+# seeded fields over both backgrounds, hashed in one sha256.  Evaluation at
+# a point keeps the digest independent of how the ring stores a scalar; the
+# value was recorded from the hand-written operators the slot-pattern sums
+# replaced.
+PIN_POINT = (Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5), Fraction(5, 7))
+PIN_DIGEST = "0942b72dd470e0143c37698312a09fd630117a4ee0dcc166c399bb7ca41e8728"
+
+
+def _pinned_outputs(chart, rng):
+    n = chart.n
+
+    def projected(rows):
+        diagram = YoungDiagram(rows)
+        raw = [random_polynomial(rng, n, 2) for _ in range(n ** diagram.cells)]
+        return project(TensorField(chart, "l" * diagram.cells, raw), diagram)
+
+    fields = [random_calabi_field(chart, level, rng) for level in range(5)]
+    for level in range(4):
+        yield f"diff{level + 1}", calabi_diff(fields[level]).field
+    for level in range(1, 5):
+        yield f"homotopy{level}", calabi_homotopy(fields[level]).field
+    for level in range(5):
+        yield f"wave{level}", calabi_wave(fields[level]).field
+    yield "killingYano", killing_yano_operator(chart, projected((1, 1)))
+    yield "s2s2", odot(chart, fields[1].field, "s2s2")
+    yield "s2_21", odot(chart, projected((2, 1)), "s2_21")
+    yield "s2_211", odot(chart, projected((2, 1, 1)), "s2_211")
+
+
+def test_operator_outputs_pinned_at_a_point():
+    h = hashlib.sha256()
+    for bg in CALABI_BACKGROUNDS:
+        chart = background_chart(bg)
+        for name, out in _pinned_outputs(chart, random.Random(2024)):
+            values = ",".join(str(c.evaluate(PIN_POINT)) for c in out.comps)
+            h.update(f"{bg}:{name}:{out.variance}:{values};".encode())
+    assert h.hexdigest() == PIN_DIGEST

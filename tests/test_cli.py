@@ -262,3 +262,47 @@ def test_closed_stdout_ends_without_traceback(argv):
     assert proc.returncode != 0
     assert "Traceback" not in stderr
     assert "Exception ignored" not in stderr
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (("killing", "--background", "minkowski4", "--operator", "killing", "--degree", "-1"),
+     "degree bound"),
+    (("killing", "--background", "deSitter4", "--operator", "killingYano", "--degree", "-2"),
+     "degree bound"),
+    (("verify", "--suite", "forms", "--degree", "-1"), "degree"),
+])
+def test_negative_degree_exits_2_naming_the_argument(argv, needle):
+    code, rep = run_json(*argv)
+    assert code == 2
+    assert needle in rep["error"] and "randrange" not in rep["error"]
+
+
+@pytest.mark.parametrize("argv, argument", [
+    (("verify", "--suite", "young", "--cases", "3"), "--cases"),
+    (("verify", "--suite", "young", "--cases", "0"), "--cases"),
+    (("verify", "--suite", "young", "--degree", "2"), "--degree"),
+    (("verify", "--suite", "homology", "--degree", "-5"), "--degree"),
+    (("verify", "--suite", "homology", "--cases", "1", "--degree", "2"), "--degree"),
+])
+def test_verify_rejects_an_argument_the_suite_does_not_use(argv, argument):
+    code, rep = run_json(*argv)
+    assert code == 2
+    assert rep["error"] == f"verify --suite {argv[2]} does not use {argument}"
+
+
+@pytest.mark.parametrize("suite, cases, degree", [
+    ("young", 0, 2), ("homology", 100, 2), ("forms", 20, 2), ("calabi", 3, 2),
+])
+def test_verify_default_arguments_echoed_per_suite(monkeypatch, suite, cases, degree):
+    from causalcoh.verify import SuiteReport
+
+    seen = {}
+
+    def fake_suite(name, **kwargs):
+        seen.update(kwargs)
+        return SuiteReport(name, 0, {}, ())
+
+    monkeypatch.setattr(cli_module, "run_suite", fake_suite)
+    _, rep = run_json("verify", "--suite", suite)
+    assert rep["inputs"]["cases"] == cases and rep["inputs"]["degree"] == degree
+    assert seen["cases"] == cases and seen["degree"] == degree

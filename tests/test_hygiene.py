@@ -1,0 +1,67 @@
+"""Source hygiene: every module-level import of a package module is used."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "causalcoh"
+
+
+def _bound_imports(tree: ast.Module) -> dict[str, int]:
+    """Name -> line of every name a module-level import binds."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Names loaded anywhere, including inside string annotations."""
+    used = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+    for ann in annotations:
+        for sub in ast.walk(ann):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                used |= {n.id for n in ast.walk(ast.parse(sub.value, mode="eval"))
+                         if isinstance(n, ast.Name)}
+    return used
+
+
+def unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used_names(tree)
+    return [f"{path.name}:{line}: {name}"
+            for name, line in sorted(_bound_imports(tree).items(), key=lambda kv: kv[1])
+            if name not in used]
+
+
+def test_no_unused_module_level_imports():
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    unused = [entry for path in modules for entry in unused_imports(path)]
+    assert unused == []
+
+
+def test_unused_import_detector_sees_what_it_should(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from fractions import Fraction\n"
+        "from math import comb as choose, gcd\n"
+        "from typing import Sequence\n"
+        "def f(x: 'Sequence[int]') -> int:\n"
+        "    return gcd(*x)\n")
+    assert unused_imports(probe) == ["probe.py:2: os", "probe.py:3: Fraction",
+                                     "probe.py:4: choose"]

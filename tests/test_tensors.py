@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from causalcoh.calabi import random_polynomial
 from causalcoh.charts import curvature, de_sitter, minkowski
 from causalcoh.tensors import (TensorError, TensorField, box_tensor, metric_trace, nabla,
-                               odot, partial_tensor, raise_first_index, trace, trace_pair)
+                               odot, partial_tensor, pattern_sum, raise_first_index, trace,
+                               trace_pair)
 
 
 def rand_tensor(chart, variance, rng, degree=2):
@@ -171,3 +173,32 @@ def test_project_tensor():
     assert all(a == b for a, b in zip(again.comps, projected.comps))
     with pytest.raises(TensorError):
         project(t, YoungDiagram((2, 1)))
+
+
+def test_pattern_sum_matches_direct_lookups():
+    # out_{abcde} = sum of c * t_{pattern}, read component by component
+    chart = de_sitter(3, 1)
+    rng = random.Random(11)
+    t = rand_tensor(chart, "lllll", rng, degree=1)
+    t = TensorField(chart, t.variance,
+                    [c if rng.random() < 0.7 else chart.zero for c in t.comps])
+    patterns = {"abcde": 1, "bcdae": -1, "edcba": 2, "caebd": -3, "badce": 1}
+    out = pattern_sum(t, patterns)
+    assert out.variance == "lllll" and out.symmetry is None
+    for idx in product(range(3), repeat=5):
+        letter = dict(zip("abcde", idx))
+        expect = chart.zero
+        for word, c in patterns.items():
+            expect = expect + t.get(*(letter[ch] for ch in word)).scale(c)
+        assert out.get(*idx) == expect
+
+
+def test_pattern_sum_validates_patterns():
+    m = minkowski(3)
+    rng = random.Random(12)
+    with pytest.raises(TensorError):
+        pattern_sum(rand_tensor(m, "llu", rng), {"abc": 1})
+    t = rand_tensor(m, "lll", rng)
+    for bad in ("abd", "aab", "ab", "abcd"):
+        with pytest.raises(TensorError):
+            pattern_sum(t, {"abc": 1, bad: 1})

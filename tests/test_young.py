@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -120,3 +121,22 @@ def test_index_table_cached_and_compact():
     # entry at target (a, b, c, d) is the source (b, a, c, d)
     assert all(table[((a * 4 + b) * 4 + c) * 4 + d] == ((b * 4 + a) * 4 + c) * 4 + d
                for a in range(4) for b in range(4) for c in range(4) for d in range(4))
+
+
+def test_slot_combination_on_fractions_matches_direct_lookups():
+    from causalcoh.young import slot_combination
+    rng = random.Random(4)
+    n, k = 3, 4
+    comps = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)) for _ in range(n ** k)]
+    terms = [((0, 1, 2, 3), 1), ((1, 2, 0, 3), -1), ((3, 2, 1, 0), 2)]
+    out = slot_combination(comps, n, k, terms, Fraction(0))
+
+    def flat(idx):
+        f = 0
+        for i in idx:
+            f = f * n + i
+        return f
+
+    for flat_idx, idx in enumerate(itertools.product(range(n), repeat=k)):
+        expect = sum(c * comps[flat(tuple(idx[p] for p in perm))] for perm, c in terms)
+        assert out[flat_idx] == expect

@@ -24,7 +24,19 @@ Every operator is written as the slot-pattern sum of its formula
 divergence ``trace_pair(nabla(T), 0, 1)`` and the metric products ``odot``:
 ``{"abcdef": 1, "bcdaef": -1, ...}`` is the expansion above, term by term.
 No operator here computes a flat component index; the layout lives in the
-index tables of :mod:`causalcoh.young`.  The jet oracle
+orbit tables of :mod:`causalcoh.young`.
+
+Fields are stored densely but computed per slot-symmetry orbit.  Every
+field of the corpus and every operator output carries its level's
+``symmetry`` tag, and a tag decides what is computed: nabla and box of a
+tagged field, and each pattern sum declared with the level's diagram, are
+evaluated at one canonical index per orbit and filled with signed copies.
+The tag is set only where the output has the symmetry by construction,
+given an input of its level's type: the diagram's slot symmetries permute
+the terms of each declared sum among themselves, with their signs, and
+the remaining outputs are rebuilt from their canonical components by
+``_with_symmetry``.  The ``check_symmetries`` battery checks every output
+against its Young projection.  The jet oracle
 :func:`linearized_riemann` and :func:`killing_system` read components by
 their flat index directly, so the oracle stays independent of the kernel
 behind the operators it checks.
@@ -41,11 +53,11 @@ from .causal import SpacetimeModel, SupportClass, TRIVIAL_SUPPORTS
 from .charts import (Chart, ChartKind, christoffel_from_metric, de_sitter, lower_last_index,
                      minkowski, riemann_from_christoffel)
 from .linalg import sparse_rank
-from .polynomials import MultiPolynomial, RationalFunction
+from .polynomials import RationalFunction
 from .simplicial import preset_profile
 from .tensors import (TensorField, _indices, box_tensor, metric_trace, nabla, odot,
                       partial_tensor, pattern_sum, trace, trace_pair)
-from .young import CALABI_DIAGRAMS, YoungDiagram, is_symmetric, project_components
+from .young import CALABI_DIAGRAMS, YoungDiagram, is_symmetric, orbits, project_components
 
 
 class CalabiError(ValueError):
@@ -182,18 +194,27 @@ def calabi_homotopy(f: CalabiField) -> CalabiField:
 
 
 def _with_symmetry(t: TensorField, level: int) -> TensorField:
-    return TensorField(t.chart, t.variance, t.comps, symmetry=CALABI_DIAGRAMS[level])
+    """``t``, of the level's symmetry type by construction, rebuilt from its
+    canonical components by the orbit fill and tagged."""
+    diagram = CALABI_DIAGRAMS[level]
+    orb = orbits(t.chart.n, diagram)
+    comps = orb.fill_from([t.comps[flat] for flat in orb.canonical], t.chart.zero)
+    return TensorField(t.chart, t.variance, comps, symmetry=diagram)
 
 
 def _homotopy3(b: TensorField) -> TensorField:
     """homotopy_3[b]_{ab:cd} = 1/2 (nabla^e b_{eab:cd} + nabla^e b_{ecd:ab})
     - 1/2 (nabla_a tb_{cd:b} - nabla_b tb_{cd:a} + nabla_c tb_{ab:d} - nabla_d tb_{ab:c}),
-    with tb_{xy:z} = b_{xye:z}^e."""
+    with tb_{xy:z} = b_{xye:z}^e.
+
+    Each of the two sums has the (2,2) slot symmetries on its own: b is
+    antisymmetric in its first three slots and tb in its first two."""
     div = trace_pair(nabla(b), 0, 1)
     ntb = nabla(trace(b, "b3"))
-    out = (pattern_sum(div, {"abcd": 1, "cdab": 1})
-           - pattern_sum(ntb, {"acdb": 1, "bcda": -1, "cabd": 1, "dabc": -1}))
-    return _with_symmetry(out.scale(Fraction(1, 2)), 2)
+    diagram = CALABI_DIAGRAMS[2]
+    out = (pattern_sum(div, {"abcd": 1, "cdab": 1}, diagram)
+           - pattern_sum(ntb, {"acdb": 1, "bcda": -1, "cabd": 1, "dabc": -1}, diagram))
+    return out.scale(Fraction(1, 2))
 
 
 def _homotopy4(b: TensorField) -> TensorField:
@@ -203,15 +224,20 @@ def _homotopy4(b: TensorField) -> TensorField:
            - nabla_a tb_{deb:c} + nabla_a tb_{dec:b}
            - nabla_b tb_{dec:a} + nabla_b tb_{dea:c}
            - nabla_c tb_{dea:b} + nabla_c tb_{deb:a}),
-    with tb_{xyz:w} = b_{xyzf:w}^f."""
+    with tb_{xyz:w} = b_{xyzf:w}^f.
+
+    Each of the two sums has the (2,2,1) slot symmetries on its own: apart
+    from the terms already antisymmetric in abc, each is a cyclic sum over
+    abc of a tensor antisymmetric in its last two of a, b, c, and b and tb
+    are antisymmetric in d, e."""
     div = trace_pair(nabla(b), 0, 1)
     ntb = nabla(trace(b, "b4"))
-    out = (pattern_sum(div, {"abcde": 2, "deabc": 1, "debca": 1, "decab": 1})
-           .scale(Fraction(1, 3))
-           + pattern_sum(ntb, {"dabce": 2, "eabcd": -2, "adebc": -1, "adecb": 1,
-                               "bdeca": -1, "bdeac": 1, "cdeab": -1, "cdeba": 1})
-           .scale(Fraction(1, 6)))
-    return _with_symmetry(out, 3)
+    diagram = CALABI_DIAGRAMS[3]
+    return (pattern_sum(div, {"abcde": 2, "deabc": 1, "debca": 1, "decab": 1}, diagram)
+            .scale(Fraction(1, 3))
+            + pattern_sum(ntb, {"dabce": 2, "eabcd": -2, "adebc": -1, "adecb": 1,
+                                "bdeca": -1, "bdeac": 1, "cdeab": -1, "cdeba": 1}, diagram)
+            .scale(Fraction(1, 6)))
 
 
 # -- the wave-type cochain maps wave_l : level l -> level l ------------------
@@ -270,13 +296,16 @@ def killing_yano_operator(chart: Chart, w: TensorField) -> TensorField:
 
 def random_polynomial(rng: random.Random, nvars: int, degree: int,
                       coeff_bound: int = 3, terms: int = 3) -> RationalFunction:
+    """Up to ``terms`` monomials of degree <= ``degree`` with integer
+    coefficients in [-coeff_bound, coeff_bound]; a draw over the degree
+    bound is skipped without drawing its coefficient."""
     items = []
     for _ in range(terms):
-        mono = tuple(rng.randrange(degree + 1) for _ in range(nvars))
+        mono = [rng.randrange(degree + 1) for _ in range(nvars)]
         if sum(mono) > degree:
             continue
-        items.append((mono, Fraction(rng.randrange(-coeff_bound, coeff_bound + 1))))
-    return RationalFunction.from_polynomial(MultiPolynomial.from_terms(nvars, items))
+        items.append((mono, rng.randrange(-coeff_bound, coeff_bound + 1)))
+    return RationalFunction.from_int_terms(nvars, items)
 
 
 def random_calabi_field(chart: Chart, level: int, rng: random.Random,
@@ -296,10 +325,14 @@ def random_calabi_field(chart: Chart, level: int, rng: random.Random,
 
 @dataclass(frozen=True)
 class IdentityCheck:
+    """One verdict; a failed one says in ``detail`` where the two sides of
+    the identity first differ."""
+
     name: str
     level: int
     case: int
     passed: bool
+    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -325,7 +358,8 @@ class CalabiIdentityReport:
             "cases": self.cases,
             "all_passed": self.all_passed,
             "checks": [
-                {"name": c.name, "level": c.level, "case": c.case, "passed": c.passed}
+                {"name": c.name, "level": c.level, "case": c.case, "passed": c.passed,
+                 **({"detail": c.detail} if c.detail else {})}
                 for c in self.checks
             ],
         }
@@ -333,6 +367,17 @@ class CalabiIdentityReport:
 
 def _fields_equal(a: TensorField, b: TensorField) -> bool:
     return all(x == y for x, y in zip(a.comps, b.comps))
+
+
+def _first_difference(lhs: TensorField, rhs_comps) -> str:
+    """'' if the components agree, else the index of the first component
+    that differs and the residual lhs - rhs there."""
+    n, r = lhs.chart.n, lhs.rank
+    for flat, (a, b) in enumerate(zip(lhs.comps, rhs_comps)):
+        if a != b:
+            idx = tuple(flat // n ** (r - 1 - t) % n for t in range(r))
+            return f"first differing component {idx}: residual {a - b!r}"
+    return ""
 
 
 def verify_calabi_identities(chart: Chart, seed: int = 42, degree_bound: int = 2,
@@ -352,43 +397,43 @@ def verify_calabi_identities(chart: Chart, seed: int = 42, degree_bound: int = 2
               for level in range(5)}
     checks: list[IdentityCheck] = []
 
-    def record(name, level, case, ok):
-        checks.append(IdentityCheck(name, level, case, bool(ok)))
+    def record(name, level, case, lhs, rhs_comps):
+        detail = _first_difference(lhs, rhs_comps)
+        checks.append(IdentityCheck(name, level, case, not detail, detail))
+
+    def record_symmetry(name, level, case, f):
+        projected = project_components(f.field.comps, chart.n, f.diagram(), chart.zero)
+        record(name, level, case, f.field, projected)
 
     for l in (1, 2, 3):
         for i, f in enumerate(corpus[l - 1]):
-            twice = calabi_diff(calabi_diff(f))
-            record(f"diff{l + 1}∘diff{l} = 0", l, i, twice.is_zero())
+            twice = calabi_diff(calabi_diff(f)).field
+            record(f"diff{l + 1}∘diff{l} = 0", l, i, twice, [chart.zero] * len(twice.comps))
 
     for l in (1, 2, 3):
         for i, f in enumerate(corpus[l]):
             lhs = calabi_homotopy(calabi_diff(f)).field + calabi_diff(calabi_homotopy(f)).field
-            rhs = calabi_wave(f).field
+            rhs = calabi_wave(f)
             record(f"homotopy{l + 1}∘diff{l + 1} + diff{l}∘homotopy{l} = wave{l}",
-                   l, i, _fields_equal(lhs, rhs))
+                   l, i, lhs, rhs.field.comps)
             if check_symmetries:
-                record(f"wave{l} output symmetry", l, i,
-                       CalabiField(l, rhs).check_symmetry())
+                record_symmetry(f"wave{l} output symmetry", l, i, rhs)
 
     for i, f in enumerate(corpus[0]):
         lhs = calabi_homotopy(calabi_diff(f)).field
-        rhs = calabi_wave(f).field
-        record("homotopy1∘diff1 = wave0", 0, i, _fields_equal(lhs, rhs))
+        record("homotopy1∘diff1 = wave0", 0, i, lhs, calabi_wave(f).field.comps)
 
     for i, f in enumerate(corpus[4]):
         lhs = calabi_diff(calabi_homotopy(f)).field
-        rhs = calabi_wave(f).field
-        record("diff4∘homotopy4 = wave4", 4, i, _fields_equal(lhs, rhs))
+        record("diff4∘homotopy4 = wave4", 4, i, lhs, calabi_wave(f).field.comps)
 
     if check_symmetries:
         for l in (0, 1, 2, 3):
             for i, f in enumerate(corpus[l]):
-                record(f"diff{l + 1} output symmetry", l, i,
-                       calabi_diff(f).check_symmetry())
+                record_symmetry(f"diff{l + 1} output symmetry", l, i, calabi_diff(f))
         for l in (1, 2, 3, 4):
             for i, f in enumerate(corpus[l]):
-                record(f"homotopy{l} output symmetry", l, i,
-                       calabi_homotopy(f).check_symmetry())
+                record_symmetry(f"homotopy{l} output symmetry", l, i, calabi_homotopy(f))
 
     label = chart.kind.value + (f"(H={chart.hubble})" if chart.hubble else "")
     return CalabiIdentityReport(background=label, seed=seed, degree_bound=degree_bound,
@@ -454,7 +499,7 @@ def linearized_riemann(chart: Chart, h: CalabiField) -> CalabiField:
     riem_up = riemann_from_christoffel(gamma, n, diff, zero_jet)
     riem = lower_last_index(riem_up, g_jet, n, zero_jet)
     comps = [j.b for j in riem]
-    return CalabiField(2, TensorField(chart, "llll", comps, symmetry=CALABI_DIAGRAMS[2]))
+    return CalabiField(2, TensorField(chart, "llll", comps))
 
 
 def linearization_relation_holds(chart: Chart, h: CalabiField) -> bool:
@@ -476,6 +521,8 @@ def linearization_relation_holds(chart: Chart, h: CalabiField) -> bool:
 # -- polynomial solution dimensions -------------------------------------------
 
 SOLUTION_OPERATORS = ("killing", "killingYano")
+
+_ANTISYMMETRIC = YoungDiagram((1, 1))
 
 # Smallest polynomial degree of the upper-index ansatz at which the kernel
 # dimension reaches its stable value (verified by the monotonicity tests).
@@ -526,8 +573,7 @@ def killing_system(operator: str, chart: Chart, degree_bound: int) -> tuple[int,
     if operator == "killing":
         for a in range(n):
             for mono in monos:
-                comp = RationalFunction.from_polynomial(
-                    MultiPolynomial.from_terms(n, [(mono, 1)]))
+                comp = RationalFunction.from_int_terms(n, [(mono, 1)])
                 comps = [chart.metric_diag[c] * comp if c == a else chart.zero
                          for c in range(n)]
                 unknown_fields.append(TensorField(chart, "l", comps))
@@ -536,13 +582,12 @@ def killing_system(operator: str, chart: Chart, degree_bound: int) -> tuple[int,
         pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
         for (a, b) in pairs:
             for mono in monos:
-                comp = RationalFunction.from_polynomial(
-                    MultiPolynomial.from_terms(n, [(mono, 1)]))
+                comp = RationalFunction.from_int_terms(n, [(mono, 1)])
                 comps = [chart.zero] * (n * n)
                 val = chart.metric_diag[a] * chart.metric_diag[b] * comp
                 comps[a * n + b] = val
                 comps[b * n + a] = -val
-                unknown_fields.append(TensorField(chart, "ll", comps))
+                unknown_fields.append(TensorField(chart, "ll", comps, symmetry=_ANTISYMMETRIC))
         apply_op = lambda w: killing_yano_operator(chart, w)
     rows: dict[tuple[int, int], dict] = {}
     for i, v in enumerate(unknown_fields):

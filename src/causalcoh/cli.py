@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--degree", type=int, default=None)
     p.add_argument("--cases", type=int, default=None)
-    p.add_argument("--background", choices=CALABI_BACKGROUNDS, default="minkowski4")
+    p.add_argument("--background", choices=CALABI_BACKGROUNDS, default=None)
     p.add_argument("--format", choices=("json", "md"), default="json")
 
     p = sub.add_parser("hook", help="hook-content rank of a Young diagram")
@@ -253,20 +253,22 @@ def build_parser() -> argparse.ArgumentParser:
 # Per-suite values of the verify arguments left out of the command line, as
 # the report's inputs echo them, and the arguments each suite reads.  An
 # explicit value for an argument the suite does not read is an input error.
+# Only the calabi suite reads a background, and only its report echoes one.
 _SUITE_DEFAULTS = {
     "homology": {"cases": 100, "degree": 2},
     "forms": {"cases": 20, "degree": 2},
-    "calabi": {"cases": 3, "degree": 2},
+    "calabi": {"cases": 3, "degree": 2, "background": "minkowski4"},
     "young": {"cases": 0, "degree": 2},
 }
 _SUITE_READS = {"homology": ("cases",), "forms": ("cases", "degree"),
-                "calabi": ("cases", "degree"), "young": ()}
+                "calabi": ("cases", "degree", "background"), "young": ()}
 
 
 def _resolve_suite_arguments(args) -> None:
-    for name, default in _SUITE_DEFAULTS[args.suite].items():
+    defaults = _SUITE_DEFAULTS[args.suite]
+    for name in ("cases", "degree", "background"):
         if getattr(args, name) is None:
-            setattr(args, name, default)
+            setattr(args, name, defaults.get(name))
         elif name not in _SUITE_READS[args.suite]:
             raise ValueError(f"verify --suite {args.suite} does not use --{name}")
 

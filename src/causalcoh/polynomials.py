@@ -348,6 +348,20 @@ class RationalFunction:
         return cls(p, MultiPolynomial.constant(p.nvars, 1))
 
     @classmethod
+    def from_int_terms(cls, nvars: int, items) -> "RationalFunction":
+        """The Laurent polynomial sum c x^mono of (exponent tuple, int c)
+        pairs; repeated monomials are summed and zero sums dropped."""
+        terms: dict[int, int] = {}
+        for mono, c in items:
+            key = _pack(mono)
+            acc = terms.get(key, 0) + c
+            if acc:
+                terms[key] = acc
+            else:
+                terms.pop(key, None)
+        return _rf(nvars, terms, 1)
+
+    @classmethod
     def constant(cls, nvars: int, c) -> "RationalFunction":
         return cls.from_polynomial(MultiPolynomial.constant(nvars, c))
 

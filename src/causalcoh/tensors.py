@@ -6,23 +6,35 @@ keeps this comfortably small.  The covariant derivative exploits the
 sparsity of conformally flat Christoffel symbols: corrections iterate over
 the O(n) nonzero symbols instead of the dense n^3 cube.
 
+Storage is dense, but computation follows the ``symmetry`` tag.  A tagged
+field has the +-1 slot symmetries of its Young diagram, so
+:func:`nabla`, :func:`box_tensor`, :func:`project` and a
+:func:`pattern_sum` with a declared diagram evaluate one canonical index
+per slot-symmetry orbit (:func:`causalcoh.young.orbits`) and fill the rest
+of the orbit with signed copies; an untagged field has the trivial group
+and every index is evaluated.  A wrong tag therefore gives wrong
+components, so the tag is set only on output that is symmetric by
+construction: projections, declared pattern sums, the box of a tagged
+field, and sums and multiples of fields with equal tags.
+
 Index permutations are never spelled out as flat-index arithmetic:
 :func:`pattern_sum` writes a signed sum of slot permutations as letter
 patterns, ``{"abc": 1, "bac": 1}`` for t_abc + t_bac, and evaluates it
-through the cached index tables of :mod:`causalcoh.young`, which hold the
-layout above in one place.  The metric products ``odot`` are such sums
-over the outer product g_xy t_...
+through the orbit tables of :mod:`causalcoh.young`, which hold the layout
+above in one place.  The metric products ``odot`` are such sums over the
+outer product g_xy t_...
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from string import ascii_lowercase
 from typing import Callable, Sequence
 
 from .charts import Chart
 from .polynomials import RationalFunction
-from .young import YoungDiagram, slot_combination
+from .young import SlotOrbits, YoungDiagram, orbits, slot_combination, trivial_orbits
 
 LOWER = "l"
 UPPER = "u"
@@ -44,6 +56,8 @@ class TensorField:
         n, r = chart.n, len(variance)
         if len(comps) != n ** r:
             raise TensorError(f"expected {n ** r} components, got {len(comps)}")
+        if symmetry is not None and (symmetry.cells != r or UPPER in variance):
+            raise TensorError(f"a {variance!r} tensor cannot carry the symmetry of {symmetry}")
         self.comps = tuple(comps)
         self.symmetry = symmetry
 
@@ -93,30 +107,35 @@ class TensorField:
     __hash__ = None
 
     # -- pointwise algebra --------------------------------------------------
+    # Sums and multiples keep a tag both operands share; a tagged result is
+    # computed once per orbit and filled.
+
+    def _pointwise(self, fn, symmetry, *others) -> "TensorField":
+        comps = [self.comps] + [o.comps for o in others]
+        orb = _orbits(self.chart.n, self.rank, symmetry)
+        out = orb.fill_from([fn(*(c[flat] for c in comps)) for flat in orb.canonical],
+                            self.chart.zero)
+        return TensorField(self.chart, self.variance, out, symmetry=symmetry)
 
     def __add__(self, other: "TensorField") -> "TensorField":
         self._check_compatible(other)
-        return TensorField(self.chart, self.variance,
-                           [a + b for a, b in zip(self.comps, other.comps)],
-                           symmetry=self.symmetry if self.symmetry == other.symmetry else None)
+        return self._pointwise(operator.add, self._shared_symmetry(other), other)
 
     def __sub__(self, other: "TensorField") -> "TensorField":
         self._check_compatible(other)
-        return TensorField(self.chart, self.variance,
-                           [a - b for a, b in zip(self.comps, other.comps)],
-                           symmetry=self.symmetry if self.symmetry == other.symmetry else None)
+        return self._pointwise(operator.sub, self._shared_symmetry(other), other)
 
     def __neg__(self) -> "TensorField":
-        return TensorField(self.chart, self.variance, [-a for a in self.comps],
-                           symmetry=self.symmetry)
+        return self._pointwise(operator.neg, self.symmetry)
 
     def scale(self, c) -> "TensorField":
         if isinstance(c, RationalFunction):
-            return TensorField(self.chart, self.variance,
-                               [a * c for a in self.comps], symmetry=self.symmetry)
+            return self._pointwise(lambda a: a * c, self.symmetry)
         c = c if isinstance(c, Fraction) else Fraction(c)
-        return TensorField(self.chart, self.variance,
-                           [a.scale(c) for a in self.comps], symmetry=self.symmetry)
+        return self._pointwise(lambda a: a.scale(c), self.symmetry)
+
+    def _shared_symmetry(self, other: "TensorField") -> YoungDiagram | None:
+        return self.symmetry if self.symmetry == other.symmetry else None
 
     def _check_compatible(self, other: "TensorField") -> None:
         if self.chart != other.chart:
@@ -162,101 +181,101 @@ def partial_tensor(t: TensorField) -> TensorField:
     return TensorField(t.chart, LOWER + t.variance, out)
 
 
+def _orbits(n: int, rank: int, symmetry: YoungDiagram | None) -> SlotOrbits:
+    """The slot-symmetry orbits that decide which components get computed."""
+    return trivial_orbits(n, rank) if symmetry is None else orbits(n, symmetry)
+
+
+def _christoffel_pulls(chart: Chart) -> dict:
+    """(c, a) -> [(d, Gamma^d_{ca}), ...] over the nonzero symbols."""
+    pulls: dict[tuple[int, int], list] = {}
+    for (d, c, a, gamma) in chart.christoffel_entries:
+        pulls.setdefault((c, a), []).append((d, gamma))
+    return pulls
+
+
 def nabla(t: TensorField) -> TensorField:
     """Covariant derivative (extra lower index, leftmost), exact.
 
     (nabla T)[c, J] = d_c T[J] - sum_i Gamma^d_{c J_i} T[J_i -> d]   (lower slots)
                               + sum_i Gamma^{J_i}_{c d} T[J_i -> d]  (upper slots)
+
+    nabla T has T's slot symmetries on its last slots, so it is evaluated
+    at one (c, J) per orbit and filled.
     """
     chart = t.chart
     n = chart.n
     r = t.rank
     size = n ** r
     src = t.comps
-    out = []
-    for c in range(n):
-        out.extend(comp.derivative(c) for comp in src)
-    entries = chart.christoffel_entries
-    for slot in range(r):
-        block = n ** (r - 1 - slot)
-        step = block * n
-        lower = t.variance[slot] == LOWER
-        for (d, c, a, gamma) in entries:
-            # lower slot: out[c, ..a@slot..] -= gamma * src[..d@slot..]
-            # upper slot: out[c, ..d@slot..] += gamma * src[..a@slot..]
-            if lower:
-                tgt_digit, src_digit = a, d
-            else:
-                tgt_digit, src_digit = d, a
-            out_base = c * size + tgt_digit * block
-            src_base = src_digit * block
-            for prefix in range(n ** slot):
-                ob = out_base + prefix * step
-                sb = src_base + prefix * step
-                for s in range(block):
-                    v = src[sb + s]
-                    if not v.is_zero():
-                        contrib = gamma * v
-                        if lower:
-                            out[ob + s] = out[ob + s] - contrib
-                        else:
-                            out[ob + s] = out[ob + s] + contrib
-    return TensorField(chart, LOWER + t.variance, out)
+    # a lower slot with digit a pulls Gamma^d_{ca} T[..d..]; an upper slot
+    # with digit d pulls Gamma^d_{ca} T[..a..]
+    lower = _christoffel_pulls(chart)
+    upper: dict[tuple[int, int], list] = {}
+    for (d, c, a, gamma) in chart.christoffel_entries:
+        upper.setdefault((c, d), []).append((a, gamma))
+    slots = [(n ** (r - 1 - slot), lower if v == LOWER else upper, v == LOWER)
+             for slot, v in enumerate(t.variance)]
+    orb = _orbits(n, r, t.symmetry).lifted
+    values = []
+    for flat in orb.canonical:
+        c, j = divmod(flat, size)
+        v = src[j].derivative(c)
+        for block, pulls, is_lower in slots:
+            digit = j // block % n
+            for other, gamma in pulls.get((c, digit), ()):
+                u = src[j + (other - digit) * block]
+                if not u.is_zero():
+                    v = v - gamma * u if is_lower else v + gamma * u
+        values.append(v)
+    return TensorField(chart, LOWER + t.variance, orb.fill_from(values, chart.zero))
 
 
 def box_tensor(t: TensorField) -> TensorField:
     """g^{cb} nabla_c nabla_b T for an all-lower tensor field.
 
     Only the components of the second derivative that hit nonzero inverse
-    metric entries are computed (the inverse metric is diagonal here).
+    metric entries are computed (the inverse metric is diagonal here), and
+    only at one index per slot-symmetry orbit of T; the output keeps T's
+    symmetry tag.
     """
     if UPPER in t.variance:
         raise TensorError("box is implemented for all-lower tensors")
     chart = t.chart
     n = chart.n
     r = t.rank
-    s1 = nabla(t)  # rank r+1, variance l + old
     size = n ** r
-    s1c = s1.comps
+    s1 = nabla(t).comps  # (nabla T)[c, J] at c * size + J
     ginv = chart.inverse_metric_diag
-    out = [chart.zero] * size
-    gamma_cc = {c: [(d, g) for (d, cc, a, g) in chart.christoffel_entries
-                    if cc == c and a == c] for c in range(n)}
-    entries = chart.christoffel_entries
-    for c in range(n):
-        gcc = ginv[c]
-        if gcc.is_zero():
-            continue
-        # second derivative block (nabla s1)[c, c, J] for all J
-        block_vals = [s1c[c * size + j].derivative(c) for j in range(size)]
-        # correction on the first (derivative) slot of s1: -Gamma^d_{cc} s1[d, J]
-        for (d, g) in gamma_cc[c]:
-            base = d * size
-            for j in range(size):
-                v = s1c[base + j]
-                if not v.is_zero():
-                    block_vals[j] = block_vals[j] - g * v
-        # corrections on the original slots
-        for slot in range(r):
-            block = n ** (r - 1 - slot)
-            step = block * n
-            for (d, cc, a, g) in entries:
-                if cc != c:
-                    continue
-                tgt_base = a * block
-                src_base = c * size + d * block
-                for prefix in range(n ** slot):
-                    tb = tgt_base + prefix * step
-                    sb = src_base + prefix * step
-                    for s in range(block):
-                        v = s1c[sb + s]
-                        if not v.is_zero():
-                            block_vals[tb + s] = block_vals[tb + s] - g * v
-        for j in range(size):
-            v = block_vals[j]
+    pulls = _christoffel_pulls(chart)
+    blocks = [n ** (r - 1 - slot) for slot in range(r)]
+    orb = _orbits(n, r, t.symmetry)
+    values = []
+    for j in orb.canonical:
+        total = chart.zero
+        for c in range(n):
+            gcc = ginv[c]
+            if gcc.is_zero():
+                continue
+            base = c * size
+            # (nabla nabla T)[c, c, J]: the derivative, the correction on the
+            # derivative slot of nabla T, then those on the slots of J
+            v = s1[base + j].derivative(c)
+            for d, g in pulls.get((c, c), ()):
+                u = s1[d * size + j]
+                if not u.is_zero():
+                    v = v - g * u
+            for block in blocks:
+                digit = j // block % n
+                for d, g in pulls.get((c, digit), ()):
+                    u = s1[base + j + (d - digit) * block]
+                    if not u.is_zero():
+                        v = v - g * u
             if not v.is_zero():
-                out[j] = out[j] + gcc * v
-    return TensorField(chart, t.variance, out)
+                total = total + gcc * v
+        values.append(total)
+    return TensorField(chart, t.variance, orb.fill_from(values, chart.zero),
+                       symmetry=t.symmetry)
 
 
 # -- metric contractions -----------------------------------------------------
@@ -318,7 +337,10 @@ def pattern_sum(t: TensorField, patterns: dict[str, int],
 
     A pattern is a word in the first ``t.rank`` letters, each used once;
     the output's slots are those letters in alphabetical order, so
-    ``{"abc": 1, "bac": 1}`` is t_abc + t_bac.  ``t`` is all-lower.
+    ``{"abc": 1, "bac": 1}`` is t_abc + t_bac.  ``t`` is all-lower.  A
+    ``symmetry`` declares that the sum has that diagram's slot symmetries
+    whenever ``t`` has the symmetry its operator expects; the sum is then
+    evaluated once per orbit and the output carries the tag.
     """
     if UPPER in t.variance:
         raise TensorError("pattern sums permute lower slots only")
@@ -327,7 +349,7 @@ def pattern_sum(t: TensorField, patterns: dict[str, int],
         if "".join(sorted(word)) != letters:
             raise TensorError(f"pattern {word!r} is not a permutation of {letters!r}")
     terms = [(tuple(ord(ch) - ord("a") for ch in word), c) for word, c in patterns.items()]
-    comps = slot_combination(t.comps, t.chart.n, t.rank, terms, t.chart.zero)
+    comps = slot_combination(t.comps, t.chart.n, t.rank, terms, t.chart.zero, symmetry)
     return TensorField(t.chart, t.variance, comps, symmetry=symmetry)
 
 

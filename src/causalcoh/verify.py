@@ -143,7 +143,7 @@ def run_calabi_suite(background: str = "minkowski4", seed: int = 42,
     report = _calabi.verify_calabi_identities(chart, seed=seed, degree_bound=degree,
                                               cases=cases)
     items = tuple(CheckItem(name=f"{background}: {c.name} [case {c.case}]",
-                            passed=c.passed)
+                            passed=c.passed, detail=c.detail)
                   for c in report.checks)
     return SuiteReport("calabi", seed,
                        {"background": background, "degree": degree, "cases": cases},

@@ -12,10 +12,17 @@ formula: the product over cells of (n + column - row) divided by the
 product of hook lengths.
 
 Dense component arrays use the row-major flat index
-``(((i_0 * n) + i_1) * n + ...) + i_{k-1}``, and ``_index_table`` is the
-one place that computes it.  On those tables ``slot_combination`` builds
-the signed sum of slot permutations to which every Young projection,
-Calabi operator and metric product reduces.
+``(((i_0 * n) + i_1) * n + ...) + i_{k-1}``, and :class:`SlotOrbits` is the
+one place that computes it.  A tensor of a diagram's type has the +-1 slot
+symmetries t[I o w] = s * t[I] of :func:`slot_symmetries`, derived from the
+projector pi as the pairs with w pi = s pi.  :func:`orbits` splits the
+indices into their orbits: one canonical index per orbit, a signed copy for
+every other member, and the orbits on which the symmetries force a zero.
+Storage stays dense; computation does not: ``slot_combination``, the
+signed sum of slot permutations to which every Young projection, Calabi
+operator and metric product reduces, evaluates each canonical index once
+and fills the orbit.  An output without a declared diagram has the trivial
+group, :func:`trivial_orbits`, and every index is evaluated.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import operator
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import permutations
 from math import factorial
 
@@ -122,29 +130,154 @@ def permutation_sign(seq) -> int:
     return sign
 
 
-# (n, k, perm) -> index table; unsigned 16-bit entries while n^k allows
-_INDEX_TABLES: dict[tuple, array] = {}
+def _compose(w1: tuple, w2: tuple) -> tuple:
+    """The group-algebra product w1 w2: (w1 w2)[t] = w1[w2[t]], so that
+    P_{w1} P_{w2} = P_{w1 w2} on component arrays."""
+    return tuple(w1[t] for t in w2)
+
+
+def _digits(flat: int, n: int, k: int) -> tuple[int, ...]:
+    out = [0] * k
+    for t in range(k - 1, -1, -1):
+        flat, out[t] = divmod(flat, n)
+    return tuple(out)
+
+
+def _weights(n: int, k: int, perm: tuple) -> list[int]:
+    """Per source slot, its place value in the flat index of I o perm.
+
+    Slot t of ``I o perm`` holds I[perm[t]], so digit s of I lands at the
+    slot t with perm[t] = s and is worth n^(k-1-t) there."""
+    out = [0] * k
+    for t, s in enumerate(perm):
+        out[s] = n ** (k - 1 - t)
+    return out
+
+
+class SlotOrbits:
+    """The flat indices of (Q^n)^{(x) k} modulo a group of signed slot
+    permutations (w, s), which act on a tensor of that symmetry by
+    t[I o w] = s * t[I].
+
+    ``canonical`` holds the smallest flat index of every orbit on which the
+    group forces no zero, ``fill`` the (flat, canonical, sign) triples
+    that give every other member of those orbits as a signed copy, and
+    ``zeros`` the flat indices of the orbits whose stabiliser contains a
+    -1 (those components vanish).  :meth:`fill_from` turns values at the
+    canonical indices into the dense component list.
+    """
+
+    def __init__(self, n: int, k: int, canonical, fill, zeros):
+        self.n = n
+        self.k = k
+        self.canonical = tuple(canonical)
+        self.fill = tuple(fill)
+        self.zeros = tuple(zeros)
+        self._sources: dict[tuple, array] = {}
+
+    def fill_from(self, values, zero) -> list:
+        """Dense components from the ``values`` at the canonical indices."""
+        out = [zero] * (self.n ** self.k)
+        for flat, v in zip(self.canonical, values):
+            out[flat] = v
+        negated = {}
+        for flat, canon, sign in self.fill:
+            v = out[canon]
+            if sign < 0:
+                v = negated.get(canon)
+                if v is None:
+                    v = negated[canon] = -out[canon]
+            out[flat] = v
+        return out
+
+    def sources(self, perm: tuple) -> array:
+        """entry i = flat index of I o perm, I the i-th canonical index."""
+        table = self._sources.get(perm)
+        if table is None:
+            weights = _weights(self.n, self.k, perm)
+            table = self._sources[perm] = array(
+                "H" if self.n ** self.k <= 1 << 16 else "L",
+                [sum(map(operator.mul, digits, weights)) for digits in self._digits])
+        return table
+
+    @cached_property
+    def _digits(self) -> list[tuple[int, ...]]:
+        return [_digits(flat, self.n, self.k) for flat in self.canonical]
+
+    @cached_property
+    def lifted(self) -> "SlotOrbits":
+        """The orbits of rank-(k+1) indices (c, I) under the same group acting
+        on the last k slots: those of a covariant derivative."""
+        size = self.n ** self.k
+        shifts = [c * size for c in range(self.n)]
+        return SlotOrbits(
+            self.n, self.k + 1,
+            [s + flat for s in shifts for flat in self.canonical],
+            [(s + flat, s + canon, sign) for s in shifts for flat, canon, sign in self.fill],
+            [s + flat for s in shifts for flat in self.zeros])
+
+
+def _build_orbits(n: int, k: int, group) -> SlotOrbits:
+    """Orbits by digit arithmetic: each orbit's members are computed once,
+    from its smallest index, which is the first one the scan meets."""
+    moves = [(_weights(n, k, w), s) for w, s in sorted(group)]
+    seen = bytearray(n ** k)
+    canonical, fill, zeros = [], [], []
+    for flat in range(n ** k):
+        if seen[flat]:
+            continue
+        digits = _digits(flat, n, k)
+        signs: dict[int, int] = {}
+        vanishes = False
+        for weights, s in moves:
+            image = sum(map(operator.mul, digits, weights))
+            if signs.setdefault(image, s) != s:
+                vanishes = True
+        for image in signs:
+            seen[image] = 1
+        if vanishes:
+            zeros.extend(signs)
+        else:
+            canonical.append(flat)
+            fill.extend((image, flat, s) for image, s in sorted(signs.items()) if image != flat)
+    return SlotOrbits(n, k, canonical, fill, sorted(zeros))
+
+
+@lru_cache(maxsize=None)
+def slot_symmetries(diagram: YoungDiagram) -> frozenset:
+    """The pairs (w, s), s = +-1, with w pi = s pi for the projector pi.
+
+    Every tensor in the image of pi then has t[I o w] = s * t[I].  The
+    coefficient of w in w pi is that of the identity in pi, so only the
+    permutations whose coefficient in pi is +-that one are candidates.
+    """
+    pi = dict(_projector_terms(diagram))
+    one = pi[tuple(range(diagram.cells))]
+    out = set()
+    for w, c in pi.items():
+        if abs(c) != one:
+            continue
+        s = 1 if c == one else -1
+        if {_compose(w, u): s * cu for u, cu in pi.items()} == pi:
+            out.add((w, s))
+    return frozenset(out)
+
+
+@lru_cache(maxsize=None)
+def orbits(n: int, diagram: YoungDiagram) -> SlotOrbits:
+    """The slot-symmetry orbits of ``diagram`` on n-dimensional indices."""
+    return _build_orbits(n, diagram.cells, slot_symmetries(diagram))
+
+
+@lru_cache(maxsize=None)
+def trivial_orbits(n: int, k: int) -> SlotOrbits:
+    """Every rank-k index is its own orbit: the group of an untagged tensor."""
+    return _build_orbits(n, k, ((tuple(range(k)), 1),))
 
 
 def _index_table(n: int, k: int, perm: tuple) -> array:
     """table[target_flat] = source_flat with source digits i_{perm[t]}."""
-    key = (n, k, perm)
-    table = _INDEX_TABLES.get(key)
-    if table is not None:
-        return table
-    entries = []
-    stack = [0] * k
-    for flat in range(n ** k):
-        rem = flat
-        for t in range(k - 1, -1, -1):
-            stack[t] = rem % n
-            rem //= n
-        src = 0
-        for t in range(k):
-            src = src * n + stack[perm[t]]
-        entries.append(src)
-    table = _INDEX_TABLES[key] = array("H" if n ** k <= 1 << 16 else "L", entries)
-    return table
+    return trivial_orbits(n, k).sources(perm)
 
 
 def _slot_perms(k: int, slots, signed: bool):
@@ -159,36 +292,40 @@ def _slot_perms(k: int, slots, signed: bool):
     return out
 
 
-def slot_combination(comps, n: int, k: int, terms, zero):
+def _pull(comps, orb: SlotOrbits, terms, zero) -> list:
+    """sum of c * comps[I o perm] over the (perm, c) terms, c an int, at
+    each canonical index I of ``orb``."""
+    is_zero, scale = _ring_ops(zero)
+    acc = [zero] * len(orb.canonical)
+    for perm, c in terms:
+        for i, src in enumerate(orb.sources(perm)):
+            v = comps[src]
+            if is_zero(v):
+                continue
+            if c == 1:
+                acc[i] = acc[i] + v
+            elif c == -1:
+                acc[i] = acc[i] - v
+            else:
+                acc[i] = acc[i] + scale(v, c)
+    return acc
+
+
+def slot_combination(comps, n: int, k: int, terms, zero,
+                     diagram: YoungDiagram | None = None):
     """out[I] = sum of c * comps[I o perm] over the (perm, c) terms, c an int.
 
-    ``I o perm`` is the index whose slot t holds I[perm[t]], the lookup of
-    ``_index_table(n, k, perm)``.  Each nonzero input component is pushed to
-    its target through the table of the inverse permutation, so zero inputs
-    cost nothing.  ``zero`` is the ring's zero (a ``Fraction`` or a chart
-    scalar) and fixes the zero test and the integer scaling once per call.
+    ``I o perm`` is the index whose slot t holds I[perm[t]].  With a
+    ``diagram`` the output is declared to have its slot symmetries: the sum
+    is evaluated at one canonical index per orbit and the rest of the orbit
+    is filled with signed copies.  Without one every index is evaluated.
+    ``zero`` is the ring's zero (a ``Fraction`` or a chart scalar) and fixes
+    the zero test and the integer scaling once per call.
     """
-    is_zero, scale = _ring_ops(zero)
-    nonzero = [(i, v) for i, v in enumerate(comps) if not is_zero(v)]
-    out = [zero] * (n ** k)
-    for perm, c in terms:
-        inverse = [0] * k
-        for t, p in enumerate(perm):
-            inverse[p] = t
-        table = _index_table(n, k, tuple(inverse))
-        if c == 1:
-            for src, v in nonzero:
-                tgt = table[src]
-                out[tgt] = out[tgt] + v
-        elif c == -1:
-            for src, v in nonzero:
-                tgt = table[src]
-                out[tgt] = out[tgt] - v
-        else:
-            for src, v in nonzero:
-                tgt = table[src]
-                out[tgt] = out[tgt] + scale(v, c)
-    return out
+    if diagram is not None and diagram.cells != k:
+        raise ValueError(f"a rank-{k} output cannot have the symmetry of {diagram}")
+    orb = trivial_orbits(n, k) if diagram is None else orbits(n, diagram)
+    return orb.fill_from(_pull(comps, orb, terms, zero), zero)
 
 
 def symmetrize_slots(comps, n: int, k: int, slots, signed: bool, zero):
@@ -206,23 +343,29 @@ def _ring_ops(zero):
     return ring.is_zero, ring.scale
 
 
+@lru_cache(maxsize=None)
+def _projector_terms(diagram: YoungDiagram) -> tuple:
+    """The projector times its hook product: integer (perm, c) terms."""
+    hooks = diagram.hook_product()
+    return tuple(sorted((w, int(c * hooks))
+                        for w, c in projector_group_algebra(diagram).items()))
+
+
 def project_components(comps, n: int, diagram: YoungDiagram, zero):
     """Apply the idempotent symmetry projector to a dense component array.
 
-    Rows are symmetrized first, columns antisymmetrized second, and the
-    result is divided by the product of hook lengths.
+    The projector's group-algebra form is pulled with integer coefficients
+    at the canonical indices of ``orbits(n, diagram)``, each result is
+    divided by the product of hook lengths once, and the orbits are filled.
     """
     k = diagram.cells
     if len(comps) != n ** k:
         raise ValueError(f"expected {n ** k} components for {diagram}")
-    cur = list(comps)
-    for row in diagram.row_slots():
-        cur = symmetrize_slots(cur, n, k, row, signed=False, zero=zero)
-    for col in diagram.column_slots():
-        cur = symmetrize_slots(cur, n, k, col, signed=True, zero=zero)
-    c = Fraction(1, diagram.hook_product())
+    orb = orbits(n, diagram)
     _, scale = _ring_ops(zero)
-    return [scale(v, c) for v in cur]
+    c = Fraction(1, diagram.hook_product())
+    values = [scale(v, c) for v in _pull(comps, orb, _projector_terms(diagram), zero)]
+    return orb.fill_from(values, zero)
 
 
 def is_symmetric(comps, n: int, diagram: YoungDiagram, zero) -> bool:
@@ -252,6 +395,20 @@ def projector_rank(diagram: YoungDiagram, n: int) -> int:
     return young_projector(diagram, n).rank()
 
 
+def _multiply(a: dict, b: dict) -> dict:
+    """Product of two group-algebra elements, perm -> coefficient maps."""
+    out: dict[tuple, Fraction] = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            w = _compose(w1, w2)
+            acc = out.get(w, 0) + c1 * c2
+            if acc:
+                out[w] = acc
+            else:
+                out.pop(w, None)
+    return out
+
+
 def projector_group_algebra(diagram: YoungDiagram):
     """The projector as a signed sum of slot permutations, coefficient map.
 
@@ -260,53 +417,18 @@ def projector_group_algebra(diagram: YoungDiagram):
     idempotency in the group algebra, which implies matrix idempotency.
     """
     k = diagram.cells
-    coeffs: dict[tuple, Fraction] = {tuple(range(k)): Fraction(1)}
-
-    def convolve(current, perms_signs, scale):
-        out: dict[tuple, Fraction] = {}
-        for w2, c2 in current.items():
-            for w1, s1 in perms_signs:
-                w = tuple(w1[w2[t]] for t in range(k))
-                c = c2 * s1 * scale
-                acc = out.get(w)
-                if acc is None:
-                    out[w] = c
-                else:
-                    acc += c
-                    if acc:
-                        out[w] = acc
-                    else:
-                        del out[w]
-        return out
-
-    one = Fraction(1)
+    coeffs: dict[tuple, Fraction] = {tuple(range(k)): Fraction(1, diagram.hook_product())}
     for row in diagram.row_slots():
-        coeffs = convolve(coeffs, _slot_perms(k, row, signed=False), one)
+        coeffs = _multiply(dict(_slot_perms(k, row, signed=False)), coeffs)
     for col in diagram.column_slots():
-        coeffs = convolve(coeffs, _slot_perms(k, col, signed=True), one)
-    c = Fraction(1, diagram.hook_product())
-    return {w: v * c for w, v in coeffs.items()}
+        coeffs = _multiply(dict(_slot_perms(k, col, signed=True)), coeffs)
+    return coeffs
 
 
 def group_algebra_idempotent(diagram: YoungDiagram) -> bool:
     """pi * pi == pi as an element of the group algebra of S_k."""
     pi = projector_group_algebra(diagram)
-    square: dict[tuple, Fraction] = {}
-    k = diagram.cells
-    for w1, c1 in pi.items():
-        for w2, c2 in pi.items():
-            w = tuple(w1[w2[t]] for t in range(k))
-            c = c1 * c2
-            acc = square.get(w)
-            if acc is None:
-                square[w] = c
-            else:
-                acc += c
-                if acc:
-                    square[w] = acc
-                else:
-                    del square[w]
-    return square == pi
+    return _multiply(pi, pi) == pi
 
 
 CALABI_DIAGRAMS = {

@@ -17,11 +17,15 @@ from causalcoh.calabi import (CALABI_BACKGROUNDS, CalabiError, CalabiField,
                               killing_yano_operator, linearization_relation_holds, linearized_riemann,
                               polynomial_solution_dimension, random_calabi_field, random_polynomial,
                               verify_calabi_identities, _fields_equal)
+import causalcoh.calabi as calabi_module
+import causalcoh.tensors as tensors_module
 from causalcoh.causal import SupportClass
 from causalcoh.charts import curvature, de_sitter, minkowski
 from causalcoh.linalg import MatrixQ, sparse_rank
-from causalcoh.tensors import TensorField, box_tensor, metric_trace, odot, project
-from causalcoh.young import YoungDiagram
+from causalcoh.polynomials import MultiPolynomial, RationalFunction
+from causalcoh.tensors import (TensorField, box_tensor, metric_trace, nabla, odot, pattern_sum,
+                               project)
+from causalcoh.young import CALABI_DIAGRAMS, YoungDiagram, project_components, symmetrize_slots
 from test_linalg import dense_rank
 
 SC = SupportClass.SPACELIKE_COMPACT
@@ -282,3 +286,127 @@ def test_operator_outputs_pinned_at_a_point():
             values = ",".join(str(c.evaluate(PIN_POINT)) for c in out.comps)
             h.update(f"{bg}:{name}:{out.variance}:{values};".encode())
     assert h.hexdigest() == PIN_DIGEST
+
+
+def _general_route_random_polynomial(rng, nvars, degree, coeff_bound=3, terms=3):
+    """The draws of random_polynomial through the general constructors."""
+    items = []
+    for _ in range(terms):
+        mono = tuple(rng.randrange(degree + 1) for _ in range(nvars))
+        if sum(mono) > degree:
+            continue
+        items.append((mono, Fraction(rng.randrange(-coeff_bound, coeff_bound + 1))))
+    return RationalFunction.from_polynomial(MultiPolynomial.from_terms(nvars, items))
+
+
+@pytest.mark.parametrize("nvars, degree, terms", [(4, 2, 3), (3, 3, 5), (2, 1, 8), (4, 0, 3)])
+def test_random_polynomial_equals_the_general_constructor_route(nvars, degree, terms):
+    # (2, 1, 8) repeats monomials often, so sums and cancellations are covered
+    for seed in range(20):
+        fast, general = random.Random(seed), random.Random(seed)
+        for _ in range(50):
+            p = random_polynomial(fast, nvars, degree, terms=terms)
+            q = _general_route_random_polynomial(general, nvars, degree, terms=terms)
+            assert p == q and p.d == 1 and all(p.terms.values())
+        assert fast.random() == general.random()  # the same number of draws
+
+
+# -- tagged (orbit) evaluation against dense evaluation ------------------------
+
+DIFFERENTIAL_CHARTS = [minkowski(4), de_sitter(4, 1), de_sitter(4, Fraction(2, 3))]
+
+
+def _untagged(t):
+    return TensorField(t.chart, t.variance, t.comps)
+
+
+def _dense_projection(comps, n, diagram, zero):
+    """Rows symmetrized, columns antisymmetrized, at every index."""
+    k = diagram.cells
+    for row in diagram.row_slots():
+        comps = symmetrize_slots(comps, n, k, row, signed=False, zero=zero)
+    for col in diagram.column_slots():
+        comps = symmetrize_slots(comps, n, k, col, signed=True, zero=zero)
+    c = Fraction(1, diagram.hook_product())
+    return [v.scale(c) for v in comps]
+
+
+@pytest.mark.parametrize("chart", DIFFERENTIAL_CHARTS, ids=("minkowski4", "deSitter4",
+                                                            "deSitter4(H=2/3)"))
+def test_tagged_evaluation_equals_dense_evaluation(chart, monkeypatch):
+    n = chart.n
+    rng = random.Random(31)
+    fields = [random_calabi_field(chart, level, rng).field for level in range(5)]
+    for level, t in enumerate(fields):
+        diagram = CALABI_DIAGRAMS[level]
+        assert t.symmetry == diagram
+        dense = _untagged(t)
+        assert nabla(t).comps == nabla(dense).comps
+        boxed = box_tensor(t)
+        assert boxed.symmetry == diagram and boxed.comps == box_tensor(dense).comps
+        raw = [random_polynomial(rng, n, 2) for _ in range(n ** diagram.cells)]
+        assert (project_components(raw, n, diagram, chart.zero)
+                == _dense_projection(raw, n, diagram, chart.zero))
+        f, g = CalabiField(level, t), CalabiField(level, dense)
+        if level < 4:
+            assert calabi_diff(f) == calabi_diff(g)
+        if level:
+            assert calabi_homotopy(f) == calabi_homotopy(g)
+        assert calabi_wave(f) == calabi_wave(g)
+
+    # every pattern sum with a declared diagram that the operators evaluate,
+    # against the same sum evaluated at every index
+    declared = []
+
+    def recording(t, patterns, symmetry=None):
+        if symmetry is not None:
+            declared.append((t, patterns, symmetry))
+        return pattern_sum(t, patterns, symmetry)
+
+    monkeypatch.setattr(calabi_module, "pattern_sum", recording)
+    monkeypatch.setattr(tensors_module, "pattern_sum", recording)
+    for level, t in enumerate(fields):
+        f = CalabiField(level, t)
+        if level < 4:
+            calabi_diff(f)
+        if level:
+            calabi_homotopy(f)
+        calabi_wave(f)
+    monkeypatch.undo()
+    # diff 1-4, two per homotopy 3-4, and odot in diff2 and waves 2-4 off the flat chart
+    assert len(declared) == (8 if chart.scalar_curvature == 0 else 12)
+    for t, patterns, symmetry in declared:
+        assert pattern_sum(t, patterns, symmetry).comps == pattern_sum(t, patterns).comps
+
+    report = verify_calabi_identities(chart, seed=13, cases=1, check_symmetries=True)
+    assert report.checks and report.all_passed, report.failures()
+
+
+# -- failure reports ---------------------------------------------------------------
+
+def test_failed_identity_names_the_component_and_the_residual(monkeypatch):
+    chart = minkowski(4)
+    passing = verify_calabi_identities(chart, seed=3, cases=1, check_symmetries=True)
+    assert passing.all_passed
+    assert all("detail" not in c for c in passing.to_dict()["checks"])
+
+    diff4 = calabi_module._diff4
+    monkeypatch.setattr(calabi_module, "_diff4", lambda b: diff4(b).scale(2))
+    report = verify_calabi_identities(chart, seed=3, cases=1)
+    failed = {c.name: c for c in report.failures()}
+    assert "diff4∘homotopy4 = wave4" in failed
+    assert all(c.detail for c in report.failures())
+    assert all(c.detail == "" for c in report.checks if c.passed)
+
+    # the level-4 field is the fifth draw of the seeded corpus
+    rng = random.Random(3)
+    f = [random_calabi_field(chart, level, rng, 2) for level in range(5)][4]
+    lhs = calabi_diff(calabi_homotopy(f)).field
+    rhs = calabi_wave(f).field
+    flat = next(i for i, (a, b) in enumerate(zip(lhs.comps, rhs.comps)) if a != b)
+    idx = tuple(flat // 4 ** (5 - t) % 4 for t in range(6))
+    residual = lhs.comps[flat] - rhs.comps[flat]
+    assert failed["diff4∘homotopy4 = wave4"].detail == \
+        f"first differing component {idx}: residual {residual!r}"
+    as_dict = [c for c in report.to_dict()["checks"] if c["name"] == "diff4∘homotopy4 = wave4"]
+    assert as_dict[0]["detail"] == failed["diff4∘homotopy4 = wave4"].detail

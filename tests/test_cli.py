@@ -306,3 +306,45 @@ def test_verify_default_arguments_echoed_per_suite(monkeypatch, suite, cases, de
     _, rep = run_json("verify", "--suite", suite)
     assert rep["inputs"]["cases"] == cases and rep["inputs"]["degree"] == degree
     assert seen["cases"] == cases and seen["degree"] == degree
+
+
+@pytest.mark.parametrize("suite", ["young", "homology", "forms"])
+@pytest.mark.parametrize("background", ["deSitter4", "minkowski4"])
+def test_verify_rejects_a_background_outside_the_calabi_suite(suite, background):
+    code, rep = run_json("verify", "--suite", suite, "--background", background)
+    assert code == 2
+    assert rep["error"] == f"verify --suite {suite} does not use --background"
+
+
+@pytest.mark.parametrize("suite", ["young", "homology", "forms", "calabi"])
+def test_verify_background_default_reaches_only_the_calabi_suite(monkeypatch, suite):
+    from causalcoh.verify import SuiteReport
+
+    seen = {}
+
+    def fake_suite(name, **kwargs):
+        seen.update(kwargs)
+        return SuiteReport(name, 0, {}, ())
+
+    monkeypatch.setattr(cli_module, "run_suite", fake_suite)
+    _, rep = run_json("verify", "--suite", suite)
+    if suite == "calabi":
+        assert rep["inputs"]["background"] == seen["background"] == "minkowski4"
+    else:
+        assert "background" not in rep["inputs"] and "background" not in seen
+
+
+def test_failed_calabi_check_reports_its_detail(monkeypatch):
+    import causalcoh.calabi as calabi_module
+
+    _, passing = run_json("verify", "--suite", "calabi", "--cases", "1", "--seed", "3")
+    assert all("detail" not in c for c in passing["results"]["checks"])
+    wave = calabi_module.calabi_wave
+    monkeypatch.setattr(calabi_module, "calabi_wave",
+                        lambda f: calabi_module.CalabiField(f.level, wave(f).field.scale(2)))
+    code, rep = run_json("verify", "--suite", "calabi", "--cases", "1", "--seed", "3")
+    assert code == 1
+    checks = rep["results"]["checks"]
+    failed = [c for c in checks if not c["passed"]]
+    assert failed and all(c["detail"].startswith("first differing component (") for c in failed)
+    assert all("detail" not in c for c in checks if c["passed"])

@@ -140,3 +140,106 @@ def test_slot_combination_on_fractions_matches_direct_lookups():
     for flat_idx, idx in enumerate(itertools.product(range(n), repeat=k)):
         expect = sum(c * comps[flat(tuple(idx[p] for p in perm))] for perm, c in terms)
         assert out[flat_idx] == expect
+
+
+# -- slot-symmetry orbits ------------------------------------------------------
+
+ORBIT_DIAGRAMS = [CALABI_DIAGRAMS[l] for l in range(5)] + [
+    YoungDiagram(rows) for rows in ((1, 1), (2, 1), (3,), (3, 1), (3, 3))]
+
+
+def _column_group(diagram):
+    """Closure of the adjacent transpositions inside each column (sign -1)
+    and the exchanges of adjacent equal-length columns (sign +1)."""
+    k = diagram.cells
+    cols = diagram.column_slots()
+    gens = []
+    for col in cols:
+        for a, b in zip(col, col[1:]):
+            w = list(range(k))
+            w[a], w[b] = b, a
+            gens.append((tuple(w), -1))
+    for c1, c2 in zip(cols, cols[1:]):
+        if len(c1) == len(c2):
+            w = list(range(k))
+            for a, b in zip(c1, c2):
+                w[a], w[b] = b, a
+            gens.append((tuple(w), 1))
+    group = {(tuple(range(k)), 1)}
+    frontier = list(group)
+    while frontier:
+        grown = []
+        for w, s in frontier:
+            for g, t in gens:
+                element = (tuple(g[i] for i in w), s * t)
+                if element not in group:
+                    group.add(element)
+                    grown.append(element)
+        frontier = grown
+    return group
+
+
+def _permuted(idx, w):
+    return tuple(idx[w[t]] for t in range(len(w)))
+
+
+def _flat(idx, n):
+    f = 0
+    for i in idx:
+        f = f * n + i
+    return f
+
+
+def test_orbit_counts():
+    from causalcoh.young import orbits
+    assert [len(orbits(4, CALABI_DIAGRAMS[l]).canonical) for l in range(5)] == [4, 10, 21, 24, 6]
+    assert [len(orbits(3, CALABI_DIAGRAMS[l]).canonical) for l in range(5)] == [3, 6, 6, 3, 0]
+    assert orbits(4, CALABI_DIAGRAMS[4]) is orbits(4, CALABI_DIAGRAMS[4])
+
+
+@pytest.mark.parametrize("diagram", ORBIT_DIAGRAMS, ids=lambda d: str(d.rows))
+def test_slot_symmetries_are_column_antisymmetry_and_column_exchange(diagram):
+    from causalcoh.young import slot_symmetries
+    assert slot_symmetries(diagram) == _column_group(diagram)
+
+
+@pytest.mark.parametrize("diagram", ORBIT_DIAGRAMS, ids=lambda d: str(d.rows))
+def test_orbits_partition_the_indices(diagram):
+    from causalcoh.young import orbits, slot_symmetries
+    n, k = 3, diagram.cells
+    orb = orbits(n, diagram)
+    group = slot_symmetries(diagram)
+    members = list(orb.canonical) + [f for f, _, _ in orb.fill] + list(orb.zeros)
+    assert sorted(members) == list(range(n ** k))
+    # a zero orbit is exactly one whose stabiliser holds a -1
+    for idx in itertools.product(range(n), repeat=k):
+        vanishes = any(s == -1 and _permuted(idx, w) == idx for w, s in group)
+        assert (_flat(idx, n) in orb.zeros) == vanishes
+    for flat, canon, sign in orb.fill:
+        assert canon < flat and canon in orb.canonical and sign in (1, -1)
+
+
+@pytest.mark.parametrize("n, diagram", [(n, d) for n in (3, 4) for d in ORBIT_DIAGRAMS
+                                        if n ** d.cells <= 4096])
+def test_projected_fraction_fields_have_the_orbit_symmetries(n, diagram):
+    from causalcoh.young import orbits, slot_symmetries
+    k = diagram.cells
+    rng = random.Random(n * 100 + k)
+    comps = [Fraction(rng.randrange(-4, 5), rng.randrange(1, 3)) for _ in range(n ** k)]
+    t = project_components(comps, n, diagram, Fraction(0))
+    group = slot_symmetries(diagram)
+    for idx in itertools.product(range(n), repeat=k):
+        for w, s in group:
+            assert t[_flat(_permuted(idx, w), n)] == s * t[_flat(idx, n)]
+    assert all(t[f] == 0 for f in orbits(n, diagram).zeros)
+
+
+@pytest.mark.parametrize("rows, n", [((1, 1), 3), ((2,), 3), ((2, 1), 3), ((2, 2), 3),
+                                     ((2, 2, 1), 2), ((3, 1), 2)])
+def test_project_components_matches_the_dense_projector_matrix(rows, n):
+    diagram = YoungDiagram(rows)
+    rng = random.Random(len(rows) * 10 + n)
+    comps = [Fraction(rng.randrange(-4, 5)) for _ in range(n ** diagram.cells)]
+    p = young_projector(diagram, n)
+    dense = [sum(p[i, j] * comps[j] for j in range(p.cols)) for i in range(p.rows)]
+    assert project_components(comps, n, diagram, Fraction(0)) == dense

@@ -37,6 +37,18 @@ class ExactnessError(ValueError):
     """Raised when a sequence fails a required exactness property."""
 
 
+def _nonzero_components(maps: Mapping[int, MatrixQ], shape, what: str) -> dict:
+    """The nonzero matrices of ``maps`` (degree -> matrix), after checking
+    that the one at degree p has shape ``shape(p)``."""
+    out = {}
+    for p, m in maps.items():
+        if m.shape() != shape(p):
+            raise ComplexError(f"{what} at degree {p} has shape {m.shape()}, expected {shape(p)}")
+        if not m.is_zero():
+            out[p] = m
+    return out
+
+
 class CochainComplex:
     """A bounded cochain complex of finite-dimensional rational spaces.
 
@@ -53,22 +65,11 @@ class CochainComplex:
         for p, d in self._dims.items():
             if d < 0:
                 raise ComplexError(f"negative dimension at degree {p}")
-        if self._dims:
-            self.p_min = min(self._dims)
-            self.p_max = max(self._dims)
-        else:
-            self.p_min = 0
-            self.p_max = 0
-        self._diffs = {}
+        self.p_min = min(self._dims, default=0)
+        self.p_max = max(self._dims, default=0)
         self._cohomology: dict[int, CohomologySpace] = {}  # filled by cohomology()
-        diffs = diffs or {}
-        for p, m in diffs.items():
-            expected = (self.dim(p + 1), self.dim(p))
-            if m.shape() != expected:
-                raise ComplexError(
-                    f"differential at degree {p} has shape {m.shape()}, expected {expected}")
-            if not m.is_zero():
-                self._diffs[p] = m
+        self._diffs = _nonzero_components(diffs or {}, lambda p: (self.dim(p + 1), self.dim(p)),
+                                          "differential")
         for p in range(self.p_min - 1, self.p_max + 1):
             if not (self.d(p + 1) * self.d(p)).is_zero():
                 raise ComplexError(f"d∘d != 0 at degree {p}")
@@ -77,10 +78,7 @@ class CochainComplex:
         return self._dims.get(p, 0)
 
     def d(self, p: int) -> MatrixQ:
-        m = self._diffs.get(p)
-        if m is None:
-            return MatrixQ.zeros(self.dim(p + 1), self.dim(p))
-        return m
+        return self._diffs.get(p) or MatrixQ.zeros(self.dim(p + 1), self.dim(p))
 
     def degrees(self) -> range:
         return range(self.p_min, self.p_max + 1)
@@ -111,14 +109,8 @@ class CochainMap:
                  maps: Mapping[int, MatrixQ]):
         self.source = source
         self.target = target
-        self._maps = {}
-        for p, m in maps.items():
-            expected = (target.dim(p), source.dim(p))
-            if m.shape() != expected:
-                raise ComplexError(
-                    f"component at degree {p} has shape {m.shape()}, expected {expected}")
-            if not m.is_zero():
-                self._maps[p] = m
+        self._maps = _nonzero_components(maps, lambda p: (target.dim(p), source.dim(p)),
+                                         "component")
         lo = min(source.p_min, target.p_min)
         hi = max(source.p_max, target.p_max)
         for p in range(lo - 1, hi + 1):
@@ -126,10 +118,7 @@ class CochainMap:
                 raise ComplexError(f"map does not commute with d at degree {p}")
 
     def at(self, p: int) -> MatrixQ:
-        m = self._maps.get(p)
-        if m is None:
-            return MatrixQ.zeros(self.target.dim(p), self.source.dim(p))
-        return m
+        return self._maps.get(p) or MatrixQ.zeros(self.target.dim(p), self.source.dim(p))
 
     @classmethod
     def identity(cls, c: CochainComplex) -> "CochainMap":
@@ -150,20 +139,11 @@ class CochainHomotopy:
 
     def __init__(self, complex: CochainComplex, maps: Mapping[int, MatrixQ]):
         self.complex = complex
-        self._maps = {}
-        for p, m in maps.items():
-            expected = (complex.dim(p - 1), complex.dim(p))
-            if m.shape() != expected:
-                raise ComplexError(
-                    f"homotopy at degree {p} has shape {m.shape()}, expected {expected}")
-            if not m.is_zero():
-                self._maps[p] = m
+        self._maps = _nonzero_components(maps, lambda p: (complex.dim(p - 1), complex.dim(p)),
+                                         "homotopy")
 
     def at(self, p: int) -> MatrixQ:
-        m = self._maps.get(p)
-        if m is None:
-            return MatrixQ.zeros(self.complex.dim(p - 1), self.complex.dim(p))
-        return m
+        return self._maps.get(p) or MatrixQ.zeros(self.complex.dim(p - 1), self.complex.dim(p))
 
 
 # -- cohomology -----------------------------------------------------------
@@ -178,9 +158,8 @@ def cohomology(c: CochainComplex, p: int) -> CohomologySpace:
     if h is None:
         kernel = c.d(p).kernel_basis()
         kept = independent_columns(c.d(p - 1), kernel)
-        cols = kernel.columns()
-        basis = MatrixQ.from_columns([cols[j] for j in kept], rows=c.dim(p))
-        h = c._cohomology[p] = CohomologySpace(degree=p, dim=len(kept), basis=basis)
+        h = c._cohomology[p] = CohomologySpace(degree=p, dim=len(kept),
+                                               basis=kernel.take_columns(kept))
     return h
 
 
@@ -200,8 +179,7 @@ def class_coordinates(c: CochainComplex, p: int, vectors: MatrixQ) -> MatrixQ:
     sol = stacked.solve(vectors)
     if sol is None:
         raise ExactnessError(f"vector is not a cocycle-representable class at degree {p}")
-    rows = [sol.row(image.cols + i) for i in range(h.dim)]
-    return MatrixQ(h.dim, vectors.cols, rows)
+    return sol.take_rows(range(image.cols, image.cols + h.dim))
 
 
 def induced_map(f: CochainMap, p: int) -> MatrixQ:
@@ -226,8 +204,16 @@ def check_null_homotopy(f: CochainMap, h: CochainHomotopy) -> bool:
 
 @dataclass(frozen=True)
 class ContractibilityVerdict:
-    invertible: bool
-    cohomology_vanishes: bool
+    singular_degrees: tuple[int, ...]  # degrees p where f(p) is not invertible
+    nonzero_degrees: tuple[int, ...]  # degrees p where H^p != 0
+
+    @property
+    def invertible(self) -> bool:
+        return not self.singular_degrees
+
+    @property
+    def cohomology_vanishes(self) -> bool:
+        return not self.nonzero_degrees
 
 
 def contractibility_check(f: CochainMap, h: CochainHomotopy) -> ContractibilityVerdict:
@@ -240,12 +226,13 @@ def contractibility_check(f: CochainMap, h: CochainHomotopy) -> ContractibilityV
     if not check_null_homotopy(f, h):
         raise ComplexError("homotopy witness invalid: f != dh + hd")
     c = f.source
-    invertible = all(f.at(p).is_invertible() for p in c.degrees())
-    vanishes = all(cohomology(c, p).dim == 0 for p in c.degrees())
-    if invertible and not vanishes:
+    verdict = ContractibilityVerdict(
+        singular_degrees=tuple(p for p in c.degrees() if not f.at(p).is_invertible()),
+        nonzero_degrees=tuple(p for p in c.degrees() if cohomology(c, p).dim))
+    if verdict.invertible and not verdict.cohomology_vanishes:
         # mathematically impossible; a failure here means the engine is broken
         raise AssertionError("invertible null-homotopic map with nonvanishing cohomology")
-    return ContractibilityVerdict(invertible=invertible, cohomology_vanishes=vanishes)
+    return verdict
 
 
 # -- short and long exact sequences ----------------------------------------
@@ -260,9 +247,7 @@ class ShortExactSeq:
             raise ExactnessError("middle complexes of i and q differ")
         self.a, self.b, self.c = i.source, i.target, q.target
         self.i, self.q = i, q
-        lo = min(self.a.p_min, self.b.p_min, self.c.p_min)
-        hi = max(self.a.p_max, self.b.p_max, self.c.p_max)
-        for p in range(lo, hi + 1):
+        for p in self.degrees():
             ip, qp = i.at(p), q.at(p)
             rank_i = ip.rank()
             if rank_i != self.a.dim(p):
@@ -438,21 +423,10 @@ def split_by_null_map(s: ShortExactSeq, which: str) -> list[SplitStatement]:
 # -- small constructions used in tests and generators ----------------------
 
 def direct_sum(x: CochainComplex, y: CochainComplex) -> CochainComplex:
-    dims = {}
-    for p in set(list(x._dims) + list(y._dims)):
-        dims[p] = x.dim(p) + y.dim(p)
-    diffs = {}
-    lo = min(x.p_min, y.p_min)
-    hi = max(x.p_max, y.p_max)
-    for p in range(lo, hi + 1):
-        dx, dy = x.d(p), y.d(p)
-        rows = dx.rows + dy.rows
-        cols = dx.cols + dy.cols
-        if rows == 0 or cols == 0:
-            continue
-        grid = [list(dx.row(i)) + [0] * dy.cols for i in range(dx.rows)]
-        grid += [[0] * dx.cols + list(dy.row(i)) for i in range(dy.rows)]
-        diffs[p] = MatrixQ(rows, cols, grid)
+    dims = {p: x.dim(p) + y.dim(p) for p in {*x._dims, *y._dims}}
+    diffs = {p: x.d(p).hstack(MatrixQ.zeros(x.dim(p + 1), y.dim(p))).vstack(
+                MatrixQ.zeros(y.dim(p + 1), x.dim(p)).hstack(y.d(p)))
+             for p in range(min(x.p_min, y.p_min), max(x.p_max, y.p_max) + 1)}
     return CochainComplex(dims, diffs)
 
 

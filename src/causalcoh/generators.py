@@ -19,8 +19,6 @@ from .linalg import MatrixQ
 
 def random_unimodular(rng: random.Random, size: int, steps: int | None = None) -> MatrixQ:
     """Random integer matrix with determinant +-1 (product of elementary ops)."""
-    if size == 0:
-        return MatrixQ.zeros(0, 0)
     m = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
     steps = 2 * size if steps is None else steps
     for _ in range(steps):
@@ -77,7 +75,7 @@ def _structured(rng: random.Random, n_degrees: int, max_dim: int,
             row = dots[p + 1] + arrows[p + 1] + a
             col = dots[p] + a
             mat[row][col] = 1
-        diffs[p] = MatrixQ.from_rows(mat) if dcur and dnxt else MatrixQ.zeros(dnxt, dcur)
+        diffs[p] = MatrixQ(dnxt, dcur, mat)
     for p in degrees[1:]:
         dcur, dprv = dims[p], dims[p - 1]
         mat = [[0] * dcur for _ in range(dprv)]
@@ -85,7 +83,7 @@ def _structured(rng: random.Random, n_degrees: int, max_dim: int,
             row = dots[p - 1] + a
             col = dots[p] + arrows[p] + a
             mat[row][col] = 1
-        hmaps[p] = MatrixQ.from_rows(mat) if dcur and dprv else MatrixQ.zeros(dprv, dcur)
+        hmaps[p] = MatrixQ(dprv, dcur, mat)
     base = CochainComplex(dims, diffs)
     # conjugate by random unimodular changes of basis
     s = {p: random_unimodular(rng, dims[p]) for p in degrees}
@@ -164,34 +162,22 @@ def random_short_exact_seq(rng: random.Random, max_degrees: int = 5,
     tprime = {}
     for p in range(lo, hi + 1):
         rows, cols = a.dim(p), c.dim(p)
-        tprime[p] = MatrixQ.from_rows(
-            [[rng.randrange(-2, 3) for _ in range(cols)] for _ in range(rows)]) \
-            if rows and cols else MatrixQ.zeros(rows, cols)
+        tprime[p] = MatrixQ(rows, cols, [[rng.randrange(-2, 3) for _ in range(cols)]
+                                         for _ in range(rows)])
     twist = {p: a.d(p) * tprime[p] - tprime.get(p + 1, MatrixQ.zeros(a.dim(p + 1), c.dim(p + 1))) * c.d(p)
              for p in range(lo, hi + 1)}
     dims = {p: a.dim(p) + c.dim(p) for p in range(lo, hi + 1)}
     diffs = {}
     for p in range(lo, hi):
-        da, dc, t = a.d(p), c.d(p), twist[p]
-        rows = []
-        for i in range(da.rows):
-            rows.append(list(da.row(i)) + list(t.row(i)))
-        for i in range(dc.rows):
-            rows.append([0] * da.cols + list(dc.row(i)))
-        if rows:
-            diffs[p] = MatrixQ.from_rows(rows)
+        da, dc = a.d(p), c.d(p)
+        diffs[p] = da.hstack(twist[p]).vstack(MatrixQ.zeros(dc.rows, da.cols).hstack(dc))
     b = CochainComplex(dims, diffs)
     imap = {}
     qmap = {}
     for p in range(lo, hi + 1):
         na, nc = a.dim(p), c.dim(p)
-        if na:
-            imap[p] = MatrixQ.from_rows(
-                [[1 if i == j else 0 for j in range(na)] for i in range(na)] +
-                [[0] * na for _ in range(nc)])
-        if nc:
-            qmap[p] = MatrixQ.from_rows(
-                [[0] * na + [1 if i == j else 0 for j in range(nc)] for i in range(nc)])
+        imap[p] = MatrixQ.identity(na).vstack(MatrixQ.zeros(nc, na))
+        qmap[p] = MatrixQ.zeros(nc, na).hstack(MatrixQ.identity(nc))
     i = CochainMap(a, b, imap)
     q = CochainMap(b, c, qmap)
     return ShortExactSeq(i, q)

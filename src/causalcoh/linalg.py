@@ -1,62 +1,86 @@
 """Exact linear algebra over the rational field.
 
-Scalars are :class:`fractions.Fraction` values, which are always stored
-gcd-reduced with a positive denominator (zero is ``0/1``).  :class:`MatrixQ`
-is a dense, immutable container of them.  All elimination is one sparse
-step, :func:`_reduce_into`, which reduces a vector (dict index -> exact
-value) against an echelon basis and pivots on the lowest index:
-:meth:`MatrixQ.rank` eliminates the rows with it; :meth:`MatrixQ.rref`,
-``kernel_basis``, ``solve`` and ``inverse`` back-substitute the resulting
-basis into the unique reduced row echelon form; :func:`independent_columns`
-eliminates the columns of the large sparse coboundaries of triangulations;
-and :func:`sparse_rank` ranks sparse integer systems.  Identical inputs
-yield bit-identical outputs.
+:class:`MatrixQ` is an immutable sparse matrix.  Each row maps a column
+index to a nonzero exact value, stored as an ``int`` when integral and as a
+gcd-reduced :class:`fractions.Fraction` otherwise; empty rows and unit rows
+are shared read-only mappings.  The public constructors validate and
+coerce entries through :func:`q`; results computed inside the package go
+through the trusted constructor ``MatrixQ._trusted``.  Every operation
+walks only nonzero entries, and entry access returns Fractions.
+
+All elimination is one sparse step, :func:`_reduce_into`, which reduces a
+vector (dict index -> exact value) against an echelon basis and pivots on
+the lowest index: :meth:`MatrixQ.rank` eliminates copies of the stored
+rows with it; :meth:`MatrixQ.rref`, ``kernel_basis``, ``solve`` and
+``inverse`` back-substitute the resulting basis into the unique reduced row
+echelon form; :func:`independent_columns` eliminates the columns of the
+large sparse coboundaries of triangulations; and :func:`sparse_rank` ranks
+sparse integer systems.  Identical inputs yield bit-identical outputs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
-Scalar = Fraction
-
 _F0 = Fraction(0)
-_F1 = Fraction(1)
+_EMPTY = MappingProxyType({})  # every all-zero row
 
 
-def q(x) -> Fraction:
-    """Coerce an int or Fraction to an exact rational scalar."""
-    if isinstance(x, Fraction):
+@lru_cache(maxsize=None)
+def _unit_row(j: int) -> MappingProxyType:
+    # most rows of identities, inclusions and kernel bases are unit rows
+    return MappingProxyType({j: 1})
+
+
+def _shared(row):
+    """``row``, or its shared copy when it is empty or a unit row."""
+    if len(row) == 1 and row.get(j := next(iter(row))) == 1:
+        return _unit_row(j)
+    return row or _EMPTY
+
+
+def q(x):
+    """An int or Fraction in stored form: an int when it is integral."""
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
 class MatrixQ:
-    """Dense matrix with exact rational entries."""
+    """Sparse immutable matrix with exact rational entries."""
 
-    __slots__ = ("rows", "cols", "_m")
+    __slots__ = ("rows", "cols", "_r")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[Sequence] | None = None):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        self.rows = rows
-        self.cols = cols
-        if entries is None:
-            self._m = tuple(tuple(_F0 for _ in range(cols)) for _ in range(rows))
-        else:
-            if len(entries) != rows:
-                raise ValueError(f"expected {rows} rows, got {len(entries)}")
-            grid = []
-            for row in entries:
-                if len(row) != cols:
-                    raise ValueError(f"expected {cols} columns, got {len(row)}")
-                grid.append(tuple(q(x) for x in row))
-            self._m = tuple(grid)
+        if entries is not None and len(entries) != rows:
+            raise ValueError(f"expected {rows} rows, got {len(entries)}")
+        for row in entries or ():
+            if len(row) != cols:
+                raise ValueError(f"expected {cols} columns, got {len(row)}")
+        self.rows, self.cols = rows, cols
+        self._r = (_EMPTY,) * rows if entries is None else tuple(
+            _shared({j: v for j, v in enumerate(map(q, row)) if v}) for row in entries)
 
     # -- constructors ---------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, sparse_rows: Iterable) -> "MatrixQ":
+        """A matrix of the given rows, unchecked: their values are in stored
+        form and nonzero, their indices in range, and nobody mutates them
+        afterwards, because matrices share rows."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m._r = rows, cols, tuple(map(_shared, sparse_rows))
+        return m
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "MatrixQ":
@@ -64,23 +88,19 @@ class MatrixQ:
 
     @classmethod
     def identity(cls, n: int) -> "MatrixQ":
-        return cls(n, n, [[_F1 if i == j else _F0 for j in range(n)] for i in range(n)])
+        return cls._trusted(n, n, map(_unit_row, range(n)))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "MatrixQ":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        return cls(r, c, rows)
+        return cls(len(rows), len(rows[0]) if rows else 0, rows)
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence], rows: int | None = None) -> "MatrixQ":
-        ncols = len(cols)
-        if ncols == 0:
-            if rows is None:
+        if rows is None:
+            if not cols:
                 raise ValueError("rows required for a matrix with no columns")
-            return cls(rows, 0)
-        nrows = len(cols[0])
-        return cls(nrows, ncols, [[cols[j][i] for j in range(ncols)] for i in range(nrows)])
+            rows = len(cols[0])
+        return cls(len(cols), rows, cols).transpose()
 
     @classmethod
     def column_vector(cls, values: Sequence) -> "MatrixQ":
@@ -90,16 +110,27 @@ class MatrixQ:
 
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
-        return self._m[i][j]
+        # indexing a range wraps a negative j and rejects one out of range
+        return Fraction(self._r[i].get(range(self.cols)[j], 0))
 
     def row(self, i: int) -> tuple:
-        return self._m[i]
-
-    def column(self, j: int) -> tuple:
-        return tuple(self._m[i][j] for i in range(self.rows))
+        """Row i as a dense tuple of Fractions."""
+        row = self._r[i]
+        return tuple(Fraction(row[j]) if j in row else _F0 for j in range(self.cols))
 
     def columns(self) -> list[tuple]:
-        return [self.column(j) for j in range(self.cols)]
+        """The columns as dense tuples of Fractions."""
+        return list(map(self.transpose().row, range(self.cols)))
+
+    def take_rows(self, indices: Iterable[int]) -> "MatrixQ":
+        picked = [self._r[i] for i in indices]
+        return MatrixQ._trusted(len(picked), self.cols, picked)
+
+    def take_columns(self, indices: Sequence[int]) -> "MatrixQ":
+        """The given distinct columns, in the given order."""
+        new = {j: k for k, j in enumerate(indices)}
+        return MatrixQ._trusted(self.rows, len(new), (
+            {new[j]: x for j, x in row.items() if j in new} for row in self._r))
 
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
@@ -107,105 +138,103 @@ class MatrixQ:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatrixQ):
             return NotImplemented
-        return self.rows == other.rows and self.cols == other.cols and self._m == other._m
+        return self.rows == other.rows and self.cols == other.cols and self._r == other._r
 
     __hash__ = None  # mutable-adjacent container; not meant for hashing
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in row) for row in self._m)
+        body = "; ".join(" ".join(map(str, self.row(i))) for i in range(self.rows))
         return f"MatrixQ({self.rows}x{self.cols}: [{body}])"
 
     def is_zero(self) -> bool:
-        return all(not x for row in self._m for x in row)
+        return not any(self._r)
 
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other: "MatrixQ") -> "MatrixQ":
-        self._check_same_shape(other)
-        return MatrixQ(self.rows, self.cols,
-                       [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._m, other._m)])
+        if self.shape() != other.shape():
+            raise ValueError(f"shape mismatch: {self.shape()} vs {other.shape()}")
+        out = []
+        for a, b in zip(self._r, other._r):
+            acc = dict(a)
+            for j, x in b.items():
+                acc[j] = acc.get(j, 0) + x
+            out.append({j: q(v) for j, v in acc.items() if v})
+        return MatrixQ._trusted(self.rows, self.cols, out)
 
     def __sub__(self, other: "MatrixQ") -> "MatrixQ":
-        self._check_same_shape(other)
-        return MatrixQ(self.rows, self.cols,
-                       [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._m, other._m)])
+        return self + -other
 
     def __neg__(self) -> "MatrixQ":
-        return MatrixQ(self.rows, self.cols, [[-a for a in row] for row in self._m])
+        return self.scale(-1)
 
     def scale(self, c) -> "MatrixQ":
         c = q(c)
-        return MatrixQ(self.rows, self.cols, [[c * a for a in row] for row in self._m])
+        return MatrixQ._trusted(self.rows, self.cols, (
+            {j: q(c * x) for j, x in row.items()} if c else _EMPTY for row in self._r))
 
     def __mul__(self, other: "MatrixQ") -> "MatrixQ":
         if not isinstance(other, MatrixQ):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape()} * {other.shape()}")
-        om = other._m
         out = []
-        for i in range(self.rows):
-            srow = self._m[i]
-            orow = [_F0] * other.cols
-            for k in range(self.cols):
-                a = srow[k]
-                if a:
-                    brow = om[k]
-                    for j in range(other.cols):
-                        b = brow[j]
-                        if b:
-                            orow[j] += a * b
-            out.append(orow)
-        return MatrixQ(self.rows, other.cols, out)
+        for a in self._r:
+            acc: dict = {}
+            for k, x in a.items():
+                for j, y in other._r[k].items():
+                    acc[j] = acc.get(j, 0) + x * y
+            out.append({j: q(v) for j, v in acc.items() if v})
+        return MatrixQ._trusted(self.rows, other.cols, out)
 
     def transpose(self) -> "MatrixQ":
-        return MatrixQ(self.cols, self.rows,
-                       [[self._m[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return MatrixQ._trusted(self.cols, self.rows, _column_dicts(self))
 
     def hstack(self, other: "MatrixQ") -> "MatrixQ":
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
-        return MatrixQ(self.rows, self.cols + other.cols,
-                       [ra + rb for ra, rb in zip(self._m, other._m)])
+        n = self.cols
+        return MatrixQ._trusted(self.rows, n + other.cols, (
+            {**a, **{n + j: x for j, x in b.items()}} for a, b in zip(self._r, other._r)))
 
-    def _check_same_shape(self, other: "MatrixQ") -> None:
-        if self.shape() != other.shape():
-            raise ValueError(f"shape mismatch: {self.shape()} vs {other.shape()}")
+    def vstack(self, other: "MatrixQ") -> "MatrixQ":
+        if self.cols != other.cols:
+            raise ValueError("column count mismatch in vstack")
+        return MatrixQ._trusted(self.rows + other.rows, self.cols, self._r + other._r)
 
     # -- elimination ----------------------------------------------------
 
+    def _echelon(self) -> list[tuple[int, dict]]:
+        # the elimination keeps and mutates its vectors: give it copies
+        return _rref_rows(dict(row) for row in self._r if row)
+
     def rref(self) -> tuple["MatrixQ", tuple[int, ...]]:
         """Reduced row echelon form and the tuple of pivot columns."""
-        rows = _rref_rows(map(_sparse, self._m))
-        grid = [[_F0] * self.cols for _ in range(self.rows)]
-        for out, (_, row) in zip(grid, rows):
-            for j, x in row.items():
-                out[j] = x
-        return MatrixQ(self.rows, self.cols, grid), tuple(p for p, _ in rows)
+        rows = self._echelon()
+        return (MatrixQ._trusted(self.rows, self.cols, [row for _, row in rows]
+                                 + [_EMPTY] * (self.rows - len(rows))),
+                tuple(p for p, _ in rows))
 
     def rank(self) -> int:
         """Rank over the rationals: the size of an echelon basis of the rows."""
         basis: dict[int, dict] = {}
-        return sum(_reduce_into(basis, row) for row in map(_sparse, self._m))
+        return sum(_reduce_into(basis, dict(row)) for row in self._r if row)
 
     def kernel_basis(self) -> "MatrixQ":
         """Columns spanning the kernel, in the canonical rref convention.
 
         For each free column f the basis vector has 1 at f and
-        ``-R[i][f]`` at the i-th pivot column.
+        ``-R[i][f]`` at the i-th pivot column.  So row f of the basis is a
+        unit row, and row p of a pivot p is its rref row, negated, at the
+        free columns.
         """
-        rows = _rref_rows(map(_sparse, self._m))
+        rows = self._echelon()
         pivots = {p for p, _ in rows}
-        cols = {}
-        for f in range(self.cols):
-            if f not in pivots:
-                cols[f] = [_F0] * self.cols
-                cols[f][f] = _F1
+        free = {f: k for k, f in enumerate(f for f in range(self.cols) if f not in pivots)}
+        out = [{free[f]: 1} if f in free else None for f in range(self.cols)]
         for p, row in rows:
-            for f, x in row.items():
-                if f != p:
-                    cols[f][p] = -x
-        return MatrixQ.from_columns(list(cols.values()), rows=self.cols)
+            out[p] = {free[f]: -x for f, x in row.items() if f != p}
+        return MatrixQ._trusted(self.cols, len(free), out)
 
     def solve(self, rhs: "MatrixQ") -> "MatrixQ | None":
         """A particular solution X of ``self * X = rhs`` (free vars = 0).
@@ -216,15 +245,13 @@ class MatrixQ:
         if rhs.rows != self.rows:
             raise ValueError("rhs row count mismatch")
         n = self.cols
-        rows = _rref_rows(_sparse(a + b) for a, b in zip(self._m, rhs._m))
+        rows = self.hstack(rhs)._echelon()
         if rows and rows[-1][0] >= n:
             return None  # a pivot in the right-hand side
-        out = [[_F0] * rhs.cols for _ in range(n)]
+        out: list = [_EMPTY] * n
         for p, row in rows:
-            for j, x in row.items():
-                if j >= n:
-                    out[p][j - n] = x
-        return MatrixQ(n, rhs.cols, out)
+            out[p] = {j - n: x for j, x in row.items() if j >= n}
+        return MatrixQ._trusted(n, rhs.cols, out)
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
@@ -232,8 +259,9 @@ class MatrixQ:
     def inverse(self) -> "MatrixQ":
         if self.rows != self.cols:
             raise ValueError("only square matrices can be inverted")
-        inv = self.solve(MatrixQ.identity(self.rows))
-        if inv is None or (self * inv) != MatrixQ.identity(self.rows):
+        identity = MatrixQ.identity(self.rows)
+        inv = self.solve(identity)
+        if inv is None or (self * inv) != identity:
             raise ValueError("matrix is singular")
         return inv
 
@@ -246,6 +274,15 @@ def rank(m: MatrixQ) -> int:
 def kernel_basis(m: MatrixQ) -> MatrixQ:
     """Matrix whose columns form the canonical basis of ker(m)."""
     return m.kernel_basis()
+
+
+def _column_dicts(m: MatrixQ) -> list[dict]:
+    """The columns of ``m`` as new sparse dicts (row index -> value)."""
+    cols: list[dict] = [{} for _ in range(m.cols)]
+    for i, row in enumerate(m._r):
+        for j, x in row.items():
+            cols[j][i] = x
+    return cols
 
 
 def _reduce_into(basis: dict[int, dict], v: dict) -> bool:
@@ -288,11 +325,12 @@ def _rref_rows(vectors: Iterable[dict]) -> list[tuple[int, dict]]:
     """The nonzero rows of the reduced row echelon form of ``vectors``.
 
     Returns (pivot, row) pairs in ascending pivot order; each row is 1 at
-    its pivot and 0 at every other pivot.  The vectors are reduced into an
-    echelon basis by :func:`_reduce_into`, then back-substituted over the
-    pivots in descending order, so every later pivot row is already reduced
-    when it is subtracted.  The reduced row echelon form is unique, so the
-    rows do not depend on the order of elimination.
+    its pivot and 0 at every other pivot, with values in stored form (see
+    :func:`q`).  The vectors are reduced into an echelon basis by
+    :func:`_reduce_into`, then back-substituted over the pivots in
+    descending order, so every later pivot row is already reduced when it is
+    subtracted.  The reduced row echelon form is unique, so the rows do not
+    depend on the order of elimination.
     """
     basis: dict[int, dict] = {}
     for v in vectors:
@@ -310,13 +348,7 @@ def _rref_rows(vectors: Iterable[dict]) -> list[tuple[int, dict]]:
                     row[j] = y
                 else:
                     del row[j]
-    return [(p, basis[p]) for p in pivots]
-
-
-def _sparse(col: tuple) -> dict:
-    # integral entries are reduced as ints, which Fraction arithmetic
-    # accepts exactly and which are much cheaper
-    return {i: x.numerator if x.denominator == 1 else x for i, x in enumerate(col) if x}
+    return [(p, {j: q(x) for j, x in basis[p].items()}) for p in pivots]
 
 
 def independent_columns(span: MatrixQ, candidates: MatrixQ) -> tuple[int, ...]:
@@ -331,10 +363,10 @@ def independent_columns(span: MatrixQ, candidates: MatrixQ) -> tuple[int, ...]:
     if span.rows != candidates.rows:
         raise ValueError("row count mismatch")
     basis: dict[int, dict] = {}  # pivot -> residual, 1 at the pivot
-    for col in span.columns():
-        _reduce_into(basis, _sparse(col))
-    return tuple(j for j, col in enumerate(candidates.columns())
-                 if _reduce_into(basis, _sparse(col)))
+    for col in _column_dicts(span):
+        _reduce_into(basis, col)
+    return tuple(j for j, col in enumerate(_column_dicts(candidates))
+                 if _reduce_into(basis, col))
 
 
 def sparse_rank(vectors: Iterable[dict]) -> int:

@@ -87,12 +87,9 @@ def coboundary(k: SimplicialComplex, p: int) -> MatrixQ:
     if not rows or not cols:
         return MatrixQ.zeros(len(rows), len(cols))
     index = {face: j for j, face in enumerate(cols)}
-    m = [[0] * len(cols) for _ in range(len(rows))]
-    for i, tau in enumerate(rows):
-        for drop in range(len(tau)):
-            sigma = tau[:drop] + tau[drop + 1:]
-            m[i][index[sigma]] += (-1) ** drop
-    return MatrixQ(len(rows), len(cols), m)
+    return MatrixQ._trusted(len(rows), len(cols), (
+        {index[tau[:drop] + tau[drop + 1:]]: -1 if drop & 1 else 1 for drop in range(len(tau))}
+        for tau in rows))
 
 
 def cochain_complex(k: SimplicialComplex) -> CochainComplex:

@@ -82,14 +82,19 @@ def run_homology_suite(seed: int = 0, cases: int = 200) -> SuiteReport:
         items.append(CheckItem(
             name=f"long exact sequence #{i}",
             passed=not bad,
-            detail="" if not bad else f"failed at {[(v.degree, v.position) for v in bad]}"))
+            detail="" if not bad else (
+                f"failed at {[(v.degree, v.position) for v in bad]}: "
+                + "; ".join(f"H^{v.degree}({v.position}) {v.detail}" for v in bad))))
     for i in range(cases // 4):
         sc = random_contractible_complex(rng)
         f, h = invertible_null_homotopic_map(rng, sc)
         v = contractibility_check(f, h)
         items.append(CheckItem(
             name=f"contractibility #{i}",
-            passed=v.invertible and v.cohomology_vanishes))
+            passed=v.invertible and v.cohomology_vanishes,
+            detail="; ".join(f"{what} at p in {list(degrees)}" for what, degrees in (
+                ("f(p) not invertible", v.singular_degrees), ("H^p != 0", v.nonzero_degrees))
+                if degrees)))
     return SuiteReport("homology", seed, {"cases": cases}, tuple(items))
 
 

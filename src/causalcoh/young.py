@@ -375,19 +375,19 @@ def is_symmetric(comps, n: int, diagram: YoungDiagram, zero) -> bool:
 
 
 def young_projector(diagram: YoungDiagram, n: int) -> MatrixQ:
-    """Dense rational matrix of the projector on (Q^n)^{tensor k}.
+    """Sparse rational matrix of the projector on (Q^n)^{tensor k}.
 
-    Built from the group-algebra form pi = sum c_w P_w: each permutation
-    contributes a single entry per row I, at the column of the index I o w
-    read off ``_index_table``.
+    Built from the integer group-algebra form hooks * pi = sum c_w P_w: each
+    permutation adds c_w to row I at the column of the index I o w read off
+    ``_index_table``, and the rows are divided by the hook product once.
     """
     k = diagram.cells
-    size = n ** k
-    grid = [[Fraction(0)] * size for _ in range(size)]
-    for w, c in projector_group_algebra(diagram).items():
-        for i, j in enumerate(_index_table(n, k, w)):
-            grid[i][j] += c
-    return MatrixQ(size, size, grid)
+    rows: list[dict] = [{} for _ in range(n ** k)]
+    for w, c in _projector_terms(diagram):
+        for row, j in zip(rows, _index_table(n, k, w)):
+            row[j] = row.get(j, 0) + c
+    return MatrixQ._trusted(n ** k, n ** k, ({j: c for j, c in row.items() if c} for row in rows)
+                            ).scale(Fraction(1, diagram.hook_product()))
 
 
 def projector_rank(diagram: YoungDiagram, n: int) -> int:

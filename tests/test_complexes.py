@@ -1,5 +1,6 @@
 import pytest
 
+from causalcoh import simplicial
 from causalcoh.complexes import (
     CochainComplex,
     CochainHomotopy,
@@ -27,6 +28,47 @@ def test_invalid_complex_reports_degree():
     with pytest.raises(ComplexError, match="degree 0"):
         CochainComplex({0: 1, 1: 1, 2: 1},
                        {0: MatrixQ.identity(1), 1: MatrixQ.identity(1)})
+
+
+def test_flipped_coboundary_sign_reports_degree(monkeypatch):
+    good = simplicial.coboundary
+
+    def flipped(k, p):
+        m = good(k, p)
+        if p != 2:
+            return m
+        rows = [list(m.row(i)) for i in range(m.rows)]
+        j = next(j for j, x in enumerate(rows[0]) if x)
+        rows[0][j] = -rows[0][j]
+        return MatrixQ.from_rows(rows)
+
+    k = simplicial.build_complex(simplicial.simplex_boundary_facets(4))
+    assert simplicial.cochain_complex(k).dim(2) == 10
+    monkeypatch.setattr(simplicial, "coboundary", flipped)
+    with pytest.raises(ComplexError, match="d∘d != 0 at degree 1"):
+        simplicial.cochain_complex(k)
+
+
+def test_sparse_off_diagonal_d_squared_reports_degree():
+    def unit(n, entries):
+        return MatrixQ(n, n, [[1 if (i, j) in entries else 0 for j in range(n)]
+                              for i in range(n)])
+
+    dims = {0: 6, 1: 6, 2: 6, 3: 6}
+    d0 = unit(6, {(0, 5), (3, 1)})
+    d2 = unit(6, {(1, 1)})
+    CochainComplex(dims, {0: d0, 1: unit(6, {(2, 4)}), 2: d2})  # d∘d = 0
+    # d1 d0 is one entry at (4, 5)
+    with pytest.raises(ComplexError, match="d∘d != 0 at degree 0"):
+        CochainComplex(dims, {0: d0, 1: unit(6, {(2, 4), (4, 0)}), 2: d2})
+
+
+def test_non_commuting_map_reports_degree():
+    one = MatrixQ.identity(1)
+    c = CochainComplex({0: 1, 1: 1, 2: 1, 3: 1}, {0: one, 2: one})
+    CochainMap(c, c, {0: one, 1: one, 2: one, 3: one})
+    with pytest.raises(ComplexError, match="does not commute with d at degree 2"):
+        CochainMap(c, c, {0: one, 1: one, 2: one, 3: one.scale(2)})
 
 
 def test_point_complex_cohomology():
@@ -95,6 +137,7 @@ def test_contractibility_negative_case():
     h = CochainHomotopy(c, {})
     v = contractibility_check(f, h)
     assert not v.invertible and not v.cohomology_vanishes
+    assert v.singular_degrees == (0,) and v.nonzero_degrees == (0,)
 
 
 def test_contractibility_rejects_bad_witness():

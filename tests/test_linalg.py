@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalcoh.linalg import MatrixQ, kernel_basis, rank
+from causalcoh.linalg import MatrixQ, independent_columns, kernel_basis, rank
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -270,3 +270,114 @@ def test_sparse_elimination_matches_dense_oracle():
                     m.inverse()
             else:
                 assert m.inverse() == want
+
+
+# -- the sparse container against dense list-of-lists arithmetic ----------
+
+
+def dense(m: MatrixQ) -> list[list[Fraction]]:
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
+def dense_product(a: MatrixQ, b: MatrixQ) -> list[list[Fraction]]:
+    x, y = dense(a), dense(b)
+    return [[sum((x[i][k] * y[k][j] for k in range(a.cols)), _F0) for j in range(b.cols)]
+            for i in range(a.rows)]
+
+
+def _stored_entries_are_normal(m: MatrixQ) -> bool:
+    """No stored zero, no Fraction with denominator 1, no index outside."""
+    return len(m._r) == m.rows and all(
+        0 <= j < m.cols and x and (type(x) is int or
+                                   (type(x) is Fraction and x.denominator > 1))
+        for row in m._r for j, x in row.items())
+
+
+def _operations(rng: random.Random, m: MatrixQ):
+    """(name, operands, call) for every container operation on ``m``, and
+    the dense result of each arithmetic one, by name."""
+    same = _random_matrix(rng, m.rows, m.cols)
+    right = _random_matrix(rng, m.cols, rng.randint(0, 4))
+    wide = _random_matrix(rng, m.rows, rng.randint(0, 3))
+    tall = _random_matrix(rng, rng.randint(0, 3), m.cols)
+    c = rng.choice((0, 1, -1, 3, Fraction(-2, 3)))
+    ops = [("+", (m, same), lambda: m + same),
+           ("-", (m, same), lambda: m - same),
+           ("neg", (m,), lambda: -m),
+           ("scale", (m,), lambda: m.scale(c)),
+           ("*", (m, right), lambda: m * right),
+           ("transpose", (m,), lambda: m.transpose()),
+           ("hstack", (m, wide), lambda: m.hstack(wide)),
+           ("vstack", (m, tall), lambda: m.vstack(tall)),
+           ("rref", (m,), lambda: m.rref()[0]),
+           ("kernel_basis", (m,), lambda: m.kernel_basis()),
+           ("solve", (m, wide), lambda: m.solve(wide)),
+           ("independent_columns", (m, same), lambda: independent_columns(m, same)),
+           ("rank", (m,), lambda: m.rank())]
+    if m.is_invertible():
+        ops.append(("inverse", (m,), lambda: m.inverse()))
+    want = {"+": [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(dense(m), dense(same))],
+            "-": [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(dense(m), dense(same))],
+            "neg": [[-a for a in row] for row in dense(m)],
+            "scale": [[c * a for a in row] for row in dense(m)],
+            "*": dense_product(m, right),
+            "transpose": [[dense(m)[i][j] for i in range(m.rows)] for j in range(m.cols)],
+            "hstack": [ra + rb for ra, rb in zip(dense(m), dense(wide))],
+            "vstack": dense(m) + dense(tall)}
+    return ops, want
+
+
+def test_container_operations_match_dense_arithmetic():
+    rng = random.Random(2001)
+    for m in _differential_cases():
+        ops, want = _operations(rng, m)
+        for name, operands, call in ops:
+            before = [(x.shape(), dense(x)) for x in operands]
+            first, second = call(), call()
+            # (a) operands are never mutated, and results repeat exactly
+            assert [(x.shape(), dense(x)) for x in operands] == before, (name, m)
+            assert first == second, (name, m)
+            if isinstance(first, MatrixQ):
+                # (b) stored entries stay normalised
+                assert _stored_entries_are_normal(first), (name, m)
+            if name in want:
+                rows = want[name]
+                cols = len(rows[0]) if rows else first.cols
+                assert dense(first) == rows, (name, m)
+                assert first == MatrixQ(len(rows), cols, rows), (name, m)
+
+
+def test_container_equality():
+    rng = random.Random(5)
+    for m in _differential_cases():
+        copy = MatrixQ(m.rows, m.cols, dense(m))
+        assert m == copy and not m != copy
+        other = _random_matrix(rng, m.rows, m.cols)
+        assert (m == other) == (dense(m) == dense(other))
+    # equal (empty) contents, different shapes
+    assert MatrixQ.zeros(0, 3) != MatrixQ.zeros(3, 0)
+    assert MatrixQ.zeros(2, 3) != MatrixQ.zeros(3, 2)
+    assert MatrixQ.zeros(2, 2) != MatrixQ.identity(2)
+
+
+def test_int_and_fraction_entries_give_equal_matrices():
+    # (c) the stored form does not depend on how an entry was written
+    rng = random.Random(11)
+    for _ in range(100):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+        ints = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        fracs = [[Fraction(x) for x in row] for row in ints]
+        a, b = MatrixQ(rows, cols, ints), MatrixQ(rows, cols, fracs)
+        assert a == b
+        assert _stored_entries_are_normal(a) and _stored_entries_are_normal(b)
+        assert all(type(a[i, j]) is Fraction and a[i, j] == ints[i][j]
+                   for i in range(rows) for j in range(cols))
+
+
+def test_constructor_validates_entries():
+    with pytest.raises(TypeError):
+        MatrixQ(1, 2, [[1, 0.0]])
+    with pytest.raises(ValueError):
+        MatrixQ(2, 2, [[1, 0]])
+    with pytest.raises(ValueError):
+        MatrixQ(1, 2, [[1, 0, 0]])

@@ -1,5 +1,7 @@
 import pytest
 
+from causalcoh import verify
+from causalcoh.complexes import ContractibilityVerdict, NodeVerdict
 from causalcoh.verify import (run_calabi_suite, run_forms_suite, run_homology_suite,
                               run_suite, run_young_suite)
 
@@ -59,3 +61,31 @@ def test_suites_refuse_zero_cases(cases):
     for run in (run_homology_suite, run_forms_suite, run_calabi_suite):
         with pytest.raises(ValueError, match="cases"):
             run(cases=cases)
+
+
+def test_failed_les_item_carries_the_node_verdicts(monkeypatch):
+    def check(les):
+        return [NodeVerdict(0, "A", True, "ok"),
+                NodeVerdict(1, "B", False, "rank(in)=1 + rank(out)=1 != dim=3")]
+
+    monkeypatch.setattr(verify, "check_exactness", check)
+    rep = run_homology_suite(seed=3, cases=4).to_dict()
+    les = [c for c in rep["checks"] if c["name"].startswith("long exact")]
+    assert len(les) == 4 and not rep["all_passed"]
+    assert all(c["detail"] == "failed at [(1, 'B')]: "
+               "H^1(B) rank(in)=1 + rank(out)=1 != dim=3" for c in les)
+    assert all("detail" not in c for c in rep["checks"] if c["passed"])
+
+
+def test_failed_contractibility_item_names_the_degrees(monkeypatch):
+    verdicts = iter([ContractibilityVerdict((), ()), ContractibilityVerdict((1, 3), ()),
+                     ContractibilityVerdict((), (2,)), ContractibilityVerdict((0,), (0,))])
+    monkeypatch.setattr(verify, "contractibility_check", lambda f, h: next(verdicts))
+    rep = run_homology_suite(seed=3, cases=16).to_dict()
+    got = [(c["passed"], c.get("detail")) for c in rep["checks"]
+           if c["name"].startswith("contractibility")]
+    assert got == [(True, None),
+                   (False, "f(p) not invertible at p in [1, 3]"),
+                   (False, "H^p != 0 at p in [2]"),
+                   (False, "f(p) not invertible at p in [0]; H^p != 0 at p in [0]")]
+    assert all("detail" not in c for c in rep["checks"] if c["passed"])

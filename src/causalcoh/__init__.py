@@ -23,7 +23,7 @@ from .calabi import (CalabiField, CalabiTable, calabi_diff, calabi_homotopy, cal
                      polynomial_solution_dimension, random_calabi_field,
                      verify_calabi_identities)
 from .forms import box_de_rham, codifferential, exterior_derivative, hodge_star, wedge
-from .linalg import MatrixQ, kernel_basis, rank
+from .linalg import MatrixQ
 from .polynomials import MultiPolynomial, RationalFunction
 from .simplicial import (CohomologyProfile, SimplicialComplex, betti, build_complex,
                          kunneth, preset_profile, profile_from_triangulation)

@@ -47,6 +47,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import comb, lcm
 
 from .causal import SpacetimeModel, SupportClass, TRIVIAL_SUPPORTS
@@ -55,7 +56,7 @@ from .charts import (Chart, ChartKind, christoffel_from_metric, de_sitter, lower
 from .linalg import sparse_rank
 from .polynomials import RationalFunction
 from .simplicial import preset_profile
-from .tensors import (TensorField, _indices, box_tensor, metric_trace, nabla, odot,
+from .tensors import (TensorField, box_tensor, first_difference, metric_trace, nabla, odot,
                       partial_tensor, pattern_sum, trace, trace_pair)
 from .young import CALABI_DIAGRAMS, YoungDiagram, is_symmetric, orbits, project_components
 
@@ -369,17 +370,6 @@ def _fields_equal(a: TensorField, b: TensorField) -> bool:
     return all(x == y for x, y in zip(a.comps, b.comps))
 
 
-def _first_difference(lhs: TensorField, rhs_comps) -> str:
-    """'' if the components agree, else the index of the first component
-    that differs and the residual lhs - rhs there."""
-    n, r = lhs.chart.n, lhs.rank
-    for flat, (a, b) in enumerate(zip(lhs.comps, rhs_comps)):
-        if a != b:
-            idx = tuple(flat // n ** (r - 1 - t) % n for t in range(r))
-            return f"first differing component {idx}: residual {a - b!r}"
-    return ""
-
-
 def verify_calabi_identities(chart: Chart, seed: int = 42, degree_bound: int = 2,
                              cases: int = 20, check_symmetries: bool = False) -> CalabiIdentityReport:
     """Machine verification of the complex and null-homotopy identities.
@@ -398,7 +388,7 @@ def verify_calabi_identities(chart: Chart, seed: int = 42, degree_bound: int = 2
     checks: list[IdentityCheck] = []
 
     def record(name, level, case, lhs, rhs_comps):
-        detail = _first_difference(lhs, rhs_comps)
+        detail = first_difference(lhs, rhs_comps)
         checks.append(IdentityCheck(name, level, case, not detail, detail))
 
     def record_symmetry(name, level, case, f):
@@ -547,11 +537,7 @@ class SolutionDimension:
 
 
 def _monomials_up_to(nvars: int, degree: int) -> list[tuple[int, ...]]:
-    out = []
-    for idx in _indices(degree + 1, nvars):
-        if sum(idx) <= degree:
-            out.append(idx)
-    return sorted(out)
+    return sorted(e for e in product(range(degree + 1), repeat=nvars) if sum(e) <= degree)
 
 
 def killing_system(operator: str, chart: Chart, degree_bound: int) -> tuple[int, list[dict]]:

@@ -9,14 +9,16 @@ volume scalar -- is then a Laurent polynomial in the coordinates (see
 the charts need, by the conformal factor and its square, is division by a
 monomial.
 
-Curvature is computed from the Christoffel symbols and *verified* against
-the constant-curvature closed forms
+:func:`curvature` computes the curvature from the Christoffel symbols and
+*verifies* it against the constant-curvature closed forms
 
     R_{abcd} = k/(n(n-1)) (g_ac g_bd - g_bc g_ad),
     Ric_{ac} = (k/n) g_ac,    R = k,
 
-so any sign-convention defect fails loudly at chart construction.  The
-Riemann convention is fixed by the covector commutator
+so any sign-convention defect fails loudly, as a :class:`ChartError`, in
+that call.  Constructing a :class:`Chart` does not run the comparison, and
+no other module of the package calls :func:`curvature`: the test suite
+does.  The Riemann convention is fixed by the covector commutator
 (nabla_a nabla_b - nabla_b nabla_a) w_c = R_{abc}^d w_d.
 """
 

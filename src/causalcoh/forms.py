@@ -1,51 +1,50 @@
 """Exterior calculus on chart forms: d, wedge, Hodge star, codifferential.
 
 Forms are antisymmetric all-lower :class:`TensorField` values stored
-densely.  The Hodge star uses the exact volume scalar Omega^n (with
-|det eta| = 1) and the orientation x0,...,x_{n-1}; the codifferential is
-a per-degree sign times star-d-star, with the signs fixed once by the
-calibration requirement that d delta + delta d act on flat scalars as
-eta^{ab} d_a d_b (wave-operator principal part, not the Riemannian
-Laplacian sign).
+densely.  Every operator is a signed sum of slot permutations evaluated by
+:func:`causalcoh.tensors.pattern_sum`, or reads and fills the orbits of
+the column diagram (1,...,1) of :func:`causalcoh.young.orbits`, whose
+canonical indices are the sorted index subsets.  The Hodge star uses the
+exact volume scalar Omega^n (with |det eta| = 1) and the orientation
+x0,...,x_{n-1}; the codifferential is a per-degree sign times star-d-star,
+with the signs fixed once by the calibration requirement that
+d delta + delta d act on flat scalars as eta^{ab} d_a d_b (wave-operator
+principal part, not the Riemannian Laplacian sign).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import permutations
+from itertools import combinations
+from string import ascii_lowercase
 
-from .tensors import TensorField, _flat, _indices, raise_first_index
-from .young import _index_table, permutation_sign
+from .tensors import UPPER, TensorField, partial_tensor, pattern_sum, project
+from .young import SlotOrbits, YoungDiagram, is_symmetric, orbits, permutation_sign, trivial_orbits
 
 
 class FormError(ValueError):
     pass
 
 
+def _column(p: int) -> YoungDiagram:
+    """The diagram of p-forms: one column, antisymmetric in all p slots."""
+    return YoungDiagram((1,) * p)
+
+
+def _form_orbits(n: int, p: int) -> SlotOrbits:
+    """The orbits of p-form indices; the canonical ones are the sorted p-subsets."""
+    return orbits(n, _column(p)) if p else trivial_orbits(n, 0)
+
+
+def _shuffle(subset: tuple, k: int) -> tuple:
+    """The sorted subset of range(k) followed by its sorted complement."""
+    return subset + tuple(i for i in range(k) if i not in subset)
+
+
 def is_form(w: TensorField) -> bool:
     """All-lower and antisymmetric in every index pair."""
-    if "u" in w.variance:
+    if UPPER in w.variance:
         return False
-    n = w.chart.n
-    r = w.rank
-    if r <= 1:
-        return True
-    for idx in _indices(n, r):
-        sidx = tuple(sorted(idx))
-        if len(set(idx)) != r:
-            if not w.comps[_flat(n, idx)].is_zero():
-                return False
-            continue
-        perm_sign = permutation_sign(idx)
-        lhs = w.comps[_flat(n, idx)]
-        rhs = w.comps[_flat(n, sidx)]
-        if perm_sign == 1:
-            if not (lhs == rhs):
-                return False
-        else:
-            if not (lhs == -rhs if not rhs.is_zero() else lhs.is_zero()):
-                return False
-    return True
+    return w.rank <= 1 or is_symmetric(w.comps, w.chart.n, _column(w.rank), w.chart.zero)
 
 
 def _require_form(w: TensorField) -> None:
@@ -55,106 +54,57 @@ def _require_form(w: TensorField) -> None:
 
 def exterior_derivative(w: TensorField) -> TensorField:
     """(dw)[i_0..i_p] = sum_j (-1)^j d_{i_j} w[i_0..^i_j..i_p]."""
-    chart = w.chart
-    n = chart.n
     p = w.rank
-    if p >= n:
-        return TensorField.zero(chart, "l" * (p + 1))
-    comps = []
-    for idx in _indices(n, p + 1):
-        total = chart.zero
-        for j in range(p + 1):
-            rest = idx[:j] + idx[j + 1:]
-            v = w.comps[_flat(n, rest)]
-            if not v.is_zero():
-                dv = v.derivative(idx[j])
-                if not dv.is_zero():
-                    total = total + dv if j % 2 == 0 else total - dv
-        comps.append(total)
-    return TensorField(chart, "l" * (p + 1), comps)
+    if p >= w.chart.n:
+        return TensorField.zero(w.chart, "l" * (p + 1))
+    s = ascii_lowercase[:p + 1]
+    return pattern_sum(partial_tensor(w),
+                       {s[j] + s[:j] + s[j + 1:]: (-1) ** j for j in range(p + 1)})
 
 
 def wedge(a: TensorField, b: TensorField) -> TensorField:
     """(a ^ b)[I] = sum over p-element position subsets S of sign(S) a[I_S] b[I_Sc]."""
     chart = a.chart
-    n = chart.n
-    p, qdeg = a.rank, b.rank
-    if p + qdeg > n:
-        return TensorField.zero(chart, "l" * (p + qdeg))
-    from itertools import combinations
-    comps = []
-    for idx in _indices(n, p + qdeg):
-        total = chart.zero
-        for subset in combinations(range(p + qdeg), p):
-            in_subset = set(subset)
-            left = tuple(idx[i] for i in subset)
-            right = tuple(idx[i] for i in range(p + qdeg) if i not in in_subset)
-            av = a.comps[_flat(n, left)]
-            if av.is_zero():
-                continue
-            bv = b.comps[_flat(n, right)]
-            if bv.is_zero():
-                continue
-            # shuffle sign: inversions between the subset and its complement
-            sign = 1
-            non_subset_seen = 0
-            for pos in range(p + qdeg):
-                if pos in in_subset:
-                    if non_subset_seen % 2 == 1:
-                        sign = -sign
-                else:
-                    non_subset_seen += 1
-            term = av * bv
-            total = total + term if sign == 1 else total - term
-        comps.append(total)
-    return TensorField(chart, "l" * (p + qdeg), comps)
+    k = a.rank + b.rank
+    if k > chart.n:
+        return TensorField.zero(chart, "l" * k)
+    outer = [x * y for x in a.comps for y in b.comps]
+    s = ascii_lowercase[:k]
+    words = {}
+    for subset in combinations(range(k), a.rank):
+        perm = _shuffle(subset, k)
+        words["".join(s[i] for i in perm)] = permutation_sign(perm)
+    return pattern_sum(TensorField(chart, "l" * k, outer), words)
 
 
 def hodge_star(w: TensorField) -> TensorField:
-    """(star w)[B] = 1/p! w^{A} eps_{A B} with eps the exact volume tensor."""
+    """(star w)[B] = 1/p! w^{A} eps_{A B} with eps the exact volume tensor.
+
+    Only the antisymmetric part of w contributes, once per sorted p-subset
+    A: (star w)[B] = sign(A B) Omega^n prod_{a in A} g^{aa} w[A] for the
+    sorted complement B of A.  The sorted complements of the (n-p)-subsets
+    in lexicographic order are the p-subsets in reverse order.
+    """
     chart = w.chart
     n = chart.n
     p = w.rank
     if p > n:
         raise FormError(f"form degree {p} exceeds chart dimension {n}")
-    # raise all indices (diagonal inverse metric)
-    raised = w
-    for _ in range(p):
-        raised = raise_first_index(raised)
-        # rotate the fresh upper index to the back so each lower slot gets raised
-        raised = _rotate_first_to_last(raised)
+    anti = project(w, _column(p)).comps if p > 1 else w.comps
+    ginv = chart.inverse_metric_diag
     vol = chart.volume_scalar
-    inv_pfact = Fraction(1, _factorial(p))
-    comps = []
-    for bidx in _indices(n, n - p):
-        if len(set(bidx)) != n - p:
-            comps.append(chart.zero)
-            continue
-        remaining = [i for i in range(n) if i not in set(bidx)]
-        total = chart.zero
-        for aperm in permutations(remaining):
-            v = raised.comps[_flat(n, aperm)]
-            if v.is_zero():
-                continue
-            sign = permutation_sign(tuple(aperm) + tuple(bidx))
-            total = total + v if sign == 1 else total - v
-        total = (total * vol).scale(inv_pfact)
-        comps.append(total)
-    return TensorField(chart, "l" * (n - p), comps)
-
-
-def _rotate_first_to_last(t: TensorField) -> TensorField:
-    """T'[i_1, .., i_{r-1}, i_0] = T[i_0, i_1, .., i_{r-1}]."""
-    r = t.rank
-    table = _index_table(t.chart.n, r, (r - 1,) + tuple(range(r - 1)))
-    return TensorField(t.chart, t.variance[1:] + t.variance[:1], [t.comps[i] for i in table])
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
+    values = []
+    for subset, flat in zip(combinations(range(n), p), _form_orbits(n, p).canonical):
+        v = anti[flat]
+        if not v.is_zero():
+            for a in subset:
+                v = v * ginv[a]
+            v = v * vol
+            if permutation_sign(_shuffle(subset, n)) < 0:
+                v = -v
+        values.append(v)
+    values.reverse()
+    return TensorField(chart, "l" * (n - p), _form_orbits(n, n - p).fill_from(values, chart.zero))
 
 
 def codifferential_sign(p: int, n: int) -> int:

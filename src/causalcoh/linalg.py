@@ -266,16 +266,6 @@ class MatrixQ:
         return inv
 
 
-def rank(m: MatrixQ) -> int:
-    """Rank of an exact rational matrix."""
-    return m.rank()
-
-
-def kernel_basis(m: MatrixQ) -> MatrixQ:
-    """Matrix whose columns form the canonical basis of ker(m)."""
-    return m.kernel_basis()
-
-
 def _column_dicts(m: MatrixQ) -> list[dict]:
     """The columns of ``m`` as new sparse dicts (row index -> value)."""
     cols: list[dict] = [{} for _ in range(m.cols)]

@@ -169,6 +169,17 @@ def _indices(n: int, r: int):
             return
 
 
+def first_difference(t: TensorField, other_comps) -> str:
+    """'' if the components agree, else the index of the first component
+    that differs and the residual t - other there."""
+    n, r = t.chart.n, t.rank
+    for flat, (a, b) in enumerate(zip(t.comps, other_comps)):
+        if a != b:
+            idx = tuple(flat // n ** (r - 1 - k) % n for k in range(r))
+            return f"first differing component {idx}: residual {a - b!r}"
+    return ""
+
+
 # -- covariant derivative ---------------------------------------------------
 
 def partial_tensor(t: TensorField) -> TensorField:
@@ -305,21 +316,6 @@ def trace_pair(t: TensorField, i: int, j: int) -> TensorField:
                 total = total + g * v
         out.append(total)
     return TensorField(chart, new_var, out)
-
-
-def raise_first_index(t: TensorField) -> TensorField:
-    """g^{ab} T[b, ...] on the leftmost (lower) slot."""
-    if not t.variance or t.variance[0] != LOWER:
-        raise TensorError("first slot is not a lower index")
-    chart = t.chart
-    n = chart.n
-    size = len(t.comps) // n
-    ginv = chart.inverse_metric_diag
-    out = []
-    for a in range(n):
-        g = ginv[a]
-        out.extend((t.comps[a * size + s] * g) for s in range(size))
-    return TensorField(chart, UPPER + t.variance[1:], out)
 
 
 def metric_trace(t: TensorField) -> RationalFunction:

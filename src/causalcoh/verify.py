@@ -17,7 +17,7 @@ from .complexes import check_exactness, contractibility_check, long_exact_sequen
 from .forms import box_de_rham, exterior_derivative
 from .generators import (invertible_null_homotopic_map, random_contractible_complex,
                          random_short_exact_seq)
-from .tensors import TensorField
+from .tensors import TensorField, first_difference
 from .young import (CALABI_DIAGRAMS, group_algebra_idempotent, hook_rank, projector_rank,
                     symmetrize_slots)
 
@@ -107,10 +107,18 @@ def _random_form(chart: Chart, p: int, rng: random.Random, degree: int) -> Tenso
     return TensorField(chart, "l" * p, anti)
 
 
+def _equality(name: str, lhs: TensorField, rhs_comps) -> CheckItem:
+    """A check that lhs has the components rhs_comps; a failure names the
+    first differing component and the residual there."""
+    detail = first_difference(lhs, rhs_comps)
+    return CheckItem(name, not detail, detail)
+
+
 def run_forms_suite(seed: int = 0, cases: int = 50, degree: int = 3) -> SuiteReport:
     """d^2 = 0 and commutation of the wave operator with d, on seeded
     random polynomial forms over both backgrounds, plus the flat scalar
-    calibration of the codifferential sign."""
+    calibration of the codifferential sign.  A failed check names the
+    first differing component and the residual there."""
     _require_cases(cases)
     if degree < 0:
         raise ValueError(f"degree must be at least 0, got {degree}")
@@ -122,21 +130,19 @@ def run_forms_suite(seed: int = 0, cases: int = 50, degree: int = 3) -> SuiteRep
             p = i % (n + 1)
             w = _random_form(chart, p, rng, rng.randrange(degree + 1))
             dw = exterior_derivative(w)
-            items.append(CheckItem(f"{label}: d∘d #{i} (p={p})",
-                                   exterior_derivative(dw).is_zero()))
+            ddw = exterior_derivative(dw)
+            items.append(_equality(f"{label}: d∘d #{i} (p={p})",
+                                   ddw, [chart.zero] * len(ddw.comps)))
             lhs = exterior_derivative(box_de_rham(w))
             rhs = box_de_rham(dw) if p < n else TensorField.zero(chart, "l" * (p + 1))
-            items.append(CheckItem(
-                f"{label}: d∘box = box∘d #{i} (p={p})",
-                all(x == y for x, y in zip(lhs.comps, rhs.comps))))
+            items.append(_equality(f"{label}: d∘box = box∘d #{i} (p={p})", lhs, rhs.comps))
     chart = minkowski(4)
     rng = random.Random(seed)
     f = TensorField.scalar(chart, _calabi.random_polynomial(rng, 4, degree))
-    boxed = box_de_rham(f).comps[0]
     flat = chart.zero
     for a in range(4):
         flat = flat + f.comps[0].derivative(a).derivative(a).scale(chart.eta[a])
-    items.append(CheckItem("minkowski4: scalar wave calibration", boxed == flat))
+    items.append(_equality("minkowski4: scalar wave calibration", box_de_rham(f), [flat]))
     return SuiteReport("forms", seed, {"cases": cases, "degree": degree}, tuple(items))
 
 

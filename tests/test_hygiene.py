@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import of a package module is used."""
+"""Source hygiene: every module-level import of a package module is used,
+and no package module imports a private name from a sibling module."""
 
 import ast
 from pathlib import Path
@@ -46,6 +47,15 @@ def unused_imports(path: Path) -> list[str]:
             if name not in used]
 
 
+def private_sibling_imports(path: Path) -> list[str]:
+    """Every ``from .x import _name``, at any depth of the module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"{path.name}:{node.lineno}: {alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+            for alias in node.names if alias.name.startswith("_")]
+
+
 def test_no_unused_module_level_imports():
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     assert modules
@@ -65,3 +75,22 @@ def test_unused_import_detector_sees_what_it_should(tmp_path):
         "    return gcd(*x)\n")
     assert unused_imports(probe) == ["probe.py:2: os", "probe.py:3: Fraction",
                                      "probe.py:4: choose"]
+
+
+def test_no_private_names_imported_from_sibling_modules():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    assert [entry for path in modules for entry in private_sibling_imports(path)] == []
+
+
+def test_private_import_detector_sees_what_it_should(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from . import calabi as _calabi\n"
+        "from .tensors import TensorField, _flat\n"
+        "from os.path import _get_sep\n"
+        "def f():\n"
+        "    from ..young import _index_table as table\n"
+        "    return table\n")
+    assert private_sibling_imports(probe) == ["probe.py:2: _flat",
+                                              "probe.py:5: _index_table"]

@@ -2,6 +2,7 @@ import pytest
 
 from causalcoh import verify
 from causalcoh.complexes import ContractibilityVerdict, NodeVerdict
+from causalcoh.tensors import TensorField
 from causalcoh.verify import (run_calabi_suite, run_forms_suite, run_homology_suite,
                               run_suite, run_young_suite)
 
@@ -88,4 +89,32 @@ def test_failed_contractibility_item_names_the_degrees(monkeypatch):
                    (False, "f(p) not invertible at p in [1, 3]"),
                    (False, "H^p != 0 at p in [2]"),
                    (False, "f(p) not invertible at p in [0]; H^p != 0 at p in [0]")]
+    assert all("detail" not in c for c in rep["checks"] if c["passed"])
+
+
+def test_failed_forms_items_name_the_component_and_the_residual(monkeypatch):
+    # a broken d that adds x1 dx0 to every 1-form it returns: d(x1 dx0) is
+    # -1 at (0, 1), and on flat charts box(x1 dx0) = 0, so d(box w) and
+    # box(d w) then differ by x1 at (0,)
+    from causalcoh.forms import exterior_derivative
+
+    def broken(w):
+        dw = exterior_derivative(w)
+        if dw.rank != 1:
+            return dw
+        extra = [dw.chart.coordinate(1) if i == 0 else dw.chart.zero for i in range(dw.chart.n)]
+        return dw + TensorField(dw.chart, "l", extra)
+
+    monkeypatch.setattr(verify, "exterior_derivative", broken)
+    rep = run_forms_suite(seed=5, cases=6, degree=2).to_dict()
+    checks = {c["name"]: c for c in rep["checks"]}
+    assert checks["minkowski4: d∘d #0 (p=0)"]["detail"] == \
+        "first differing component (0, 1): residual -1"
+    assert checks["minkowski4: d∘box = box∘d #0 (p=0)"]["detail"] == \
+        "first differing component (0,): residual x1"
+    failed = [c for c in rep["checks"] if not c["passed"]]
+    assert {c["name"] for c in failed} == {
+        f"{label}: {what} #{i} (p=0)" for label in ("minkowski4", "deSitter4")
+        for what in ("d∘d", "d∘box = box∘d") for i in (0, 5)}
+    assert all(c["detail"].startswith("first differing component (0,") for c in failed)
     assert all("detail" not in c for c in rep["checks"] if c["passed"])

@@ -395,14 +395,17 @@ def verify_calabi_identities(chart: Chart, seed: int = 42, degree_bound: int = 2
         projected = project_components(f.field.comps, chart.n, f.diagram(), chart.zero)
         record(name, level, case, f.field, projected)
 
+    # each field's differential is computed once and read by every check
+    diffs = {level: [calabi_diff(f) for f in corpus[level]] for level in range(4)}
+
     for l in (1, 2, 3):
-        for i, f in enumerate(corpus[l - 1]):
-            twice = calabi_diff(calabi_diff(f)).field
+        for i, df in enumerate(diffs[l - 1]):
+            twice = calabi_diff(df).field
             record(f"diff{l + 1}∘diff{l} = 0", l, i, twice, [chart.zero] * len(twice.comps))
 
     for l in (1, 2, 3):
         for i, f in enumerate(corpus[l]):
-            lhs = calabi_homotopy(calabi_diff(f)).field + calabi_diff(calabi_homotopy(f)).field
+            lhs = calabi_homotopy(diffs[l][i]).field + calabi_diff(calabi_homotopy(f)).field
             rhs = calabi_wave(f)
             record(f"homotopy{l + 1}∘diff{l + 1} + diff{l}∘homotopy{l} = wave{l}",
                    l, i, lhs, rhs.field.comps)
@@ -410,7 +413,7 @@ def verify_calabi_identities(chart: Chart, seed: int = 42, degree_bound: int = 2
                 record_symmetry(f"wave{l} output symmetry", l, i, rhs)
 
     for i, f in enumerate(corpus[0]):
-        lhs = calabi_homotopy(calabi_diff(f)).field
+        lhs = calabi_homotopy(diffs[0][i]).field
         record("homotopy1∘diff1 = wave0", 0, i, lhs, calabi_wave(f).field.comps)
 
     for i, f in enumerate(corpus[4]):
@@ -419,8 +422,8 @@ def verify_calabi_identities(chart: Chart, seed: int = 42, degree_bound: int = 2
 
     if check_symmetries:
         for l in (0, 1, 2, 3):
-            for i, f in enumerate(corpus[l]):
-                record_symmetry(f"diff{l + 1} output symmetry", l, i, calabi_diff(f))
+            for i, df in enumerate(diffs[l]):
+                record_symmetry(f"diff{l + 1} output symmetry", l, i, df)
         for l in (1, 2, 3, 4):
             for i, f in enumerate(corpus[l]):
                 record_symmetry(f"homotopy{l} output symmetry", l, i, calabi_homotopy(f))

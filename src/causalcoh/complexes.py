@@ -12,13 +12,19 @@ scanned in order and columns independent modulo the image of the previous
 differential are kept.  This makes induced maps well-defined matrices and
 keeps every operation deterministic.
 
-H^p is found in one elimination pass (:func:`linalg.independent_columns`):
-the columns of d_{p-1} are reduced into a sparse echelon basis, then the
-kernel columns in order, and a kernel column is kept exactly when its
-residual is nonzero.  Each complex memoises H^p per degree, so the long
-exact sequence, induced maps, class coordinates and the contractibility
-check reuse one computation.  Complexes are immutable, which keeps the
-memo valid.
+Representatives are needed only where a map acts on cohomology: induced
+maps, connecting maps, class coordinates and the long exact sequence.
+There H^p is found in one elimination pass
+(:func:`linalg.independent_columns`): the columns of d_{p-1} are reduced
+into a sparse echelon basis, then the kernel columns in order, and a
+kernel column is kept exactly when its residual is nonzero.  Each complex
+memoises H^p per degree, so those computations reuse one result.
+Complexes are immutable, which keeps the memo valid.
+
+Where only dimensions are needed (triangulated slice profiles, the
+contractibility check), :func:`cohomology_dims` uses rank-nullity instead
+and ranks each differential once, from the top degree down, with
+clearing: the rows of d_{p-1} at the pivots of d_p are skipped.
 """
 
 from __future__ import annotations
@@ -164,7 +170,24 @@ def cohomology(c: CochainComplex, p: int) -> CohomologySpace:
 
 
 def cohomology_dims(c: CochainComplex) -> dict[int, int]:
-    return {p: cohomology(c, p).dim for p in c.degrees()}
+    """dim H^p(c) for every degree, without representatives.
+
+    By rank-nullity, dim H^p = dim C^p - rank d_p - rank d_{p-1}.  Each
+    differential is ranked once, from the top degree down, and the rank of
+    d_{p-1} skips ("clears") the rows whose index is a pivot of d_p.
+
+    Clearing keeps the rank.  A pivot i of d_p is the lowest nonzero index
+    of some v = a d_p, and v d_{p-1} = a d_p d_{p-1} = 0, so row i of
+    d_{p-1} is -1/v_i times the sum of v_j times row j over j > i: it lies
+    in the span of the rows above it.  By descending induction on i, every
+    cleared row lies in the span of the uncleared ones.  Only d∘d = 0 is
+    used, which every complex passes on construction.
+    """
+    ranks, cleared = {}, ()
+    for p in range(c.p_max, c.p_min - 2, -1):
+        cleared = c.d(p).pivots(skip=cleared)
+        ranks[p] = len(cleared)
+    return {p: c.dim(p) - ranks[p] - ranks[p - 1] for p in c.degrees()}
 
 
 def class_coordinates(c: CochainComplex, p: int, vectors: MatrixQ) -> MatrixQ:
@@ -228,7 +251,7 @@ def contractibility_check(f: CochainMap, h: CochainHomotopy) -> ContractibilityV
     c = f.source
     verdict = ContractibilityVerdict(
         singular_degrees=tuple(p for p in c.degrees() if not f.at(p).is_invertible()),
-        nonzero_degrees=tuple(p for p in c.degrees() if cohomology(c, p).dim))
+        nonzero_degrees=tuple(p for p, h in cohomology_dims(c).items() if h))
     if verdict.invertible and not verdict.cohomology_vanishes:
         # mathematically impossible; a failure here means the engine is broken
         raise AssertionError("invertible null-homotopic map with nonvanishing cohomology")

@@ -121,10 +121,14 @@ def codifferential_sign(p: int, n: int) -> int:
 def codifferential(w: TensorField) -> TensorField:
     """delta = sign(p, n) * star d star, mapping p-forms to (p-1)-forms."""
     _require_form(w)
-    p = w.rank
-    if p == 0:
+    if w.rank == 0:
         raise FormError("the codifferential of a 0-form does not exist")
-    s = codifferential_sign(p, w.chart.n)
+    return _codifferential(w)
+
+
+def _codifferential(w: TensorField) -> TensorField:
+    # unchecked: box_de_rham checks its input once, and d of a form is a form
+    s = codifferential_sign(w.rank, w.chart.n)
     out = hodge_star(exterior_derivative(hodge_star(w)))
     return out if s == 1 else -out
 
@@ -135,7 +139,7 @@ def box_de_rham(w: TensorField) -> TensorField:
     p = w.rank
     n = w.chart.n
     if p == 0:
-        return codifferential(exterior_derivative(w))
+        return _codifferential(exterior_derivative(w))
     if p == n:
-        return exterior_derivative(codifferential(w))
-    return exterior_derivative(codifferential(w)) + codifferential(exterior_derivative(w))
+        return exterior_derivative(_codifferential(w))
+    return exterior_derivative(_codifferential(w)) + _codifferential(exterior_derivative(w))

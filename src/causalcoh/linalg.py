@@ -10,12 +10,13 @@ walks only nonzero entries, and entry access returns Fractions.
 
 All elimination is one sparse step, :func:`_reduce_into`, which reduces a
 vector (dict index -> exact value) against an echelon basis and pivots on
-the lowest index: :meth:`MatrixQ.rank` eliminates copies of the stored
-rows with it; :meth:`MatrixQ.rref`, ``kernel_basis``, ``solve`` and
-``inverse`` back-substitute the resulting basis into the unique reduced row
-echelon form; :func:`independent_columns` eliminates the columns of the
-large sparse coboundaries of triangulations; and :func:`sparse_rank` ranks
-sparse integer systems.  Identical inputs yield bit-identical outputs.
+the lowest index: :func:`_pivots` eliminates copies of given rows with it
+and returns the pivot set, which :meth:`MatrixQ.pivots`, :meth:`MatrixQ.rank`
+and :func:`sparse_rank` read; :meth:`MatrixQ.rref`, ``kernel_basis``,
+``solve`` and ``inverse`` back-substitute the resulting basis into the
+unique reduced row echelon form; and :func:`independent_columns` eliminates
+the columns of the large sparse coboundaries of triangulations.  Identical
+inputs yield bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from types import MappingProxyType
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 _F0 = Fraction(0)
 _EMPTY = MappingProxyType({})  # every all-zero row
@@ -84,7 +85,8 @@ class MatrixQ:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "MatrixQ":
-        return cls(rows, cols)
+        """The zero matrix of this shape, one shared instance per shape."""
+        return _zeros(rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "MatrixQ":
@@ -215,10 +217,15 @@ class MatrixQ:
                                  + [_EMPTY] * (self.rows - len(rows))),
                 tuple(p for p, _ in rows))
 
+    def pivots(self, skip: Container[int] = ()) -> frozenset[int]:
+        """Pivot columns of an echelon basis of the rows whose index is not
+        in ``skip``; each is the lowest nonzero column of a vector in their
+        row space."""
+        return frozenset(_pivots(self._r, skip))
+
     def rank(self) -> int:
         """Rank over the rationals: the size of an echelon basis of the rows."""
-        basis: dict[int, dict] = {}
-        return sum(_reduce_into(basis, dict(row)) for row in self._r if row)
+        return len(_pivots(self._r))
 
     def kernel_basis(self) -> "MatrixQ":
         """Columns spanning the kernel, in the canonical rref convention.
@@ -266,6 +273,11 @@ class MatrixQ:
         return inv
 
 
+@lru_cache(maxsize=None)
+def _zeros(rows: int, cols: int) -> MatrixQ:
+    return MatrixQ(rows, cols)
+
+
 def _column_dicts(m: MatrixQ) -> list[dict]:
     """The columns of ``m`` as new sparse dicts (row index -> value)."""
     cols: list[dict] = [{} for _ in range(m.cols)]
@@ -309,6 +321,16 @@ def _reduce_into(basis: dict[int, dict], v: dict) -> bool:
             else:
                 del v[j]
     return False
+
+
+def _pivots(rows: Iterable[dict], skip: Container[int] = ()):
+    """The pivot indices of an echelon basis of the nonzero ``rows`` whose
+    position is not in ``skip``.  The rows are copied, not consumed."""
+    basis: dict[int, dict] = {}
+    for i, row in enumerate(rows):
+        if row and i not in skip:
+            _reduce_into(basis, dict(row))
+    return basis.keys()
 
 
 def _rref_rows(vectors: Iterable[dict]) -> list[tuple[int, dict]]:
@@ -362,8 +384,7 @@ def independent_columns(span: MatrixQ, candidates: MatrixQ) -> tuple[int, ...]:
 def sparse_rank(vectors: Iterable[dict]) -> int:
     """Rank of sparse vectors (dict index -> nonzero int or Fraction).
 
-    The same elimination step as :func:`independent_columns`; the input
-    dicts are copied, not consumed.
+    The same elimination as :meth:`MatrixQ.rank`; the input dicts are
+    copied, not consumed.
     """
-    basis: dict[int, dict] = {}
-    return sum(_reduce_into(basis, dict(v)) for v in vectors)
+    return len(_pivots(vectors))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .complexes import CochainComplex, cohomology
+from .complexes import CochainComplex, cohomology, cohomology_dims
 from .linalg import MatrixQ
 
 
@@ -152,8 +152,8 @@ def profile_from_triangulation(k: SimplicialComplex, oriented_closed: bool = Tru
         raise TriangulationError(
             "only closed oriented triangulations are supported; use presets for open slices")
     m = k.dimension
-    cx = cochain_complex(k)
-    h = tuple(cohomology(cx, p).dim for p in range(m + 1))
+    dims = cohomology_dims(cochain_complex(k))
+    h = tuple(dims[p] for p in range(m + 1))
     return CohomologyProfile(m=m, h=h, h_c=h, name=name or f"triangulated-{m}d")
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -67,6 +68,31 @@ def test_derham_triangulation_file(tmp_path):
     assert code == 0
     assert rep["results"]["slice"]["h"] == [1, 0, 0, 1]
     assert rep["results"]["table"]["sc"] == [1, 0, 0, 1, 0]
+
+
+# SHA-256 of the derham --triangulation stdout for the boundary of the
+# 4-simplex and the staircase 3-torus, as the cohomology engine printed it
+# before dimensions were computed by ranks: any later change to the
+# cohomology path must leave these reports byte-identical.
+DERHAM_TRIANGULATION_DIGESTS = {
+    ("s3", "json"): "3f4eb2dd62fb2895b6f26242785da3e28c7d6032a4168132ed84cdce13f67d52",
+    ("s3", "md"): "4fdd28ca5bebe443f16178860a03418a0b68d7f9556b1c8f8512a450d6a1e175",
+    ("t3", "json"): "f6ae049f976cebe933dd53038eee7bf3eb1dfd24fbbdb8e8132475593174bec3",
+    ("t3", "md"): "f0d691f512cd42ef4e1ba1c937188d6d10aa0e99868e8beb61a657ef1b0e7207",
+}
+
+
+@pytest.mark.parametrize("name,fmt", sorted(DERHAM_TRIANGULATION_DIGESTS))
+def test_derham_triangulation_reports_are_byte_identical(tmp_path, name, fmt):
+    from causalcoh.simplicial import simplex_boundary_facets
+    from test_cohomology_engine import staircase_torus
+    vertices, facets = {"s3": (5, simplex_boundary_facets(4)),
+                        "t3": (27, staircase_torus(3, 3))}[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"vertices": vertices, "facets": [list(f) for f in facets]}))
+    code, text = run_cli("derham", "--triangulation", str(path), "--n", "4", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == DERHAM_TRIANGULATION_DIGESTS[name, fmt]
 
 
 def test_derham_input_errors_exit_2():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalcoh.linalg import MatrixQ, independent_columns
+from causalcoh.linalg import MatrixQ, independent_columns, sparse_rank
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -124,6 +124,29 @@ def test_rank_identity():
 
 def test_rank_zero_matrix():
     assert MatrixQ.zeros(3, 5).rank() == 0
+
+
+def test_zero_matrices_are_shared_per_shape():
+    assert MatrixQ.zeros(2, 3) is MatrixQ.zeros(2, 3)
+    assert MatrixQ.zeros(2, 3) == MatrixQ(2, 3) and MatrixQ.zeros(3, 2).shape() == (3, 2)
+    with pytest.raises(ValueError):
+        MatrixQ.zeros(-1, 2)
+
+
+def test_pivots_skip_rows():
+    # hand elimination: rows 0 and 1 are dependent, row 2 leads at column 0
+    m = mat([[0, 1, 1], [0, 2, 2], [1, 0, 0]])
+    assert m.pivots() == {0, 1}
+    assert m.pivots(skip={2}) == {1}
+    assert m.pivots(skip={0}) == {0, 1}
+    assert m.pivots(skip={0, 1, 2}) == frozenset()
+
+
+def test_sparse_rank_copies_its_input():
+    rows = [{0: 2, 1: 4}, {0: 1, 1: 2}, {2: Fraction(1, 3)}]
+    snapshot = [dict(r) for r in rows]
+    assert sparse_rank(rows) == 2 and sparse_rank([]) == 0
+    assert rows == snapshot
 
 
 def test_rank_dependent_rows():
@@ -255,9 +278,15 @@ def _differential_cases():
 
 def test_sparse_elimination_matches_dense_oracle():
     rng = random.Random(7)
+    skip_rng = random.Random(13)
     for m in _differential_cases():
         assert m.rref() == dense_rref(m), m
         assert m.rank() == dense_rank(m), m
+        assert sparse_rank(m._r) == dense_rank(m), m
+        assert m.pivots() == frozenset(dense_rref(m)[1]), m
+        skip = {i for i in range(m.rows) if skip_rng.random() < 0.4}
+        kept = m.take_rows(i for i in range(m.rows) if i not in skip)
+        assert m.pivots(skip=skip) == frozenset(dense_rref(kept)[1]), (m, skip)
         assert m.kernel_basis() == dense_kernel_basis(m), m
         for rhs in (m * _random_matrix(rng, m.cols, 2),  # consistent
                     _random_matrix(rng, m.rows, rng.randint(0, 3))):
@@ -313,7 +342,9 @@ def _operations(rng: random.Random, m: MatrixQ):
            ("kernel_basis", (m,), lambda: m.kernel_basis()),
            ("solve", (m, wide), lambda: m.solve(wide)),
            ("independent_columns", (m, same), lambda: independent_columns(m, same)),
-           ("rank", (m,), lambda: m.rank())]
+           ("rank", (m,), lambda: m.rank()),
+           ("pivots", (m,), lambda: m.pivots(skip={0})),
+           ("sparse_rank", (m,), lambda: sparse_rank(m._r))]
     if m.is_invertible():
         ops.append(("inverse", (m,), lambda: m.inverse()))
     want = {"+": [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(dense(m), dense(same))],

@@ -40,6 +40,12 @@ against its Young projection.  The jet oracle
 :func:`linearized_riemann` and :func:`killing_system` read components by
 their flat index directly, so the oracle stays independent of the kernel
 behind the operators it checks.
+
+The restricted-support table :func:`calabi_table` has no degree
+bookkeeping of its own.  It is the slice's de Rham table
+(:func:`causalcoh.causal.full_table`) with Killing and Killing-Yano
+coefficients, which enter at the slice profile, and it is gated by
+:func:`causalcoh.causal.pairing_audit`.
 """
 
 from __future__ import annotations
@@ -50,12 +56,12 @@ from fractions import Fraction
 from itertools import product
 from math import comb, lcm
 
-from .causal import SpacetimeModel, SupportClass, TRIVIAL_SUPPORTS
+from .causal import CohomologyTable, SpacetimeModel, SupportClass, full_table, pairing_audit
 from .charts import (Chart, ChartKind, christoffel_from_metric, de_sitter, lower_last_index,
                      minkowski, riemann_from_christoffel)
 from .linalg import sparse_rank
 from .polynomials import RationalFunction
-from .simplicial import preset_profile
+from .simplicial import CohomologyProfile, preset_profile
 from .tensors import (TensorField, box_tensor, first_difference, metric_trace, nabla, odot,
                       partial_tensor, pattern_sum, trace, trace_pair)
 from .young import CALABI_DIAGRAMS, YoungDiagram, is_symmetric, orbits, project_components
@@ -66,7 +72,7 @@ class CalabiError(ValueError):
 
 
 class CalabiIndexingError(CalabiError):
-    """Raised when the compact-support degree bookkeeping is inconsistent."""
+    """Raised when the support-class table of the complex fails a gate."""
 
 
 @dataclass(frozen=True)
@@ -623,39 +629,14 @@ CALABI_BACKGROUNDS = ("minkowski4", "deSitter4")
 
 
 @dataclass(frozen=True)
-class CalabiTable:
-    """Dimensions of the restricted-support cohomology of the complex.
+class CalabiTable(CohomologyTable):
+    """The support-class table of the complex, the coefficient ranks it was
+    built with, and any disagreement between its vanishing pattern and the
+    reference pattern."""
 
-    ``rows`` maps each support class to dims over degrees 0..n; the two
-    solution rows are for the wave-type operators (sc and unrestricted).
-    ``reference_deviations`` lists any disagreement between the computed
-    vanishing pattern and the reference pattern.
-    """
-
-    background: str
-    n: int
     dim_killing: int
     dim_killing_yano: int
-    rows: dict
-    solution_rows: dict
     reference_deviations: tuple[str, ...]
-
-    def row(self, x: SupportClass) -> tuple[int, ...]:
-        return self.rows[x]
-
-    def solution_row(self, x: SupportClass) -> tuple[int, ...]:
-        return self.solution_rows[x]
-
-    def dim(self, x: SupportClass, level: int) -> int:
-        """Dimension at any integer degree; zero outside [0, n]."""
-        if level < 0 or level > self.n:
-            return 0
-        return self.rows[x][level]
-
-    def solution_dim(self, x: SupportClass, level: int) -> int:
-        if level < 0 or level > self.n:
-            return 0
-        return self.solution_rows[x][level]
 
 
 def _background_model(background: str) -> SpacetimeModel:
@@ -679,48 +660,30 @@ def background_chart(background: str) -> Chart:
 def calabi_table(background: str, strict: bool = False) -> CalabiTable:
     """Restricted-support cohomology table for a validated background.
 
-    Unrestricted degrees carry (spacetime cohomology) x (Killing space);
-    compact supports are dual to the adjoint complex, giving (spacetime
-    cohomology in complementary degree) x (Killing-Yano space); the sc/tc
-    and solution rows follow by the degree shifts.  Internal cross-route
-    gates (duality pairing; vacuous sc restriction over a compact slice)
-    raise :class:`CalabiIndexingError` on any inconsistency.  Deviations
-    from the reference vanishing patterns are reported in the
-    table (or raised when ``strict``).
+    The complex resolves the Killing sheaf, locally constant of rank
+    dim K = C(n+1, 2); its adjoint resolves the Killing-Yano sheaf, of rank
+    dim KY = C(n+1, 3).  Both slices, R^3 and S^3, are simply connected, so
+    the monodromy is trivial and the table is
+    :func:`causalcoh.causal.full_table` of the slice profile with h scaled
+    by dim K and h_c by dim KY.  A slice with nontrivial monodromy (the
+    Killing local system on R x T^3) needs a twisted profile instead.
+
+    A :func:`causalcoh.causal.pairing_audit` violation, or an sc row other
+    than the unrestricted row over a compact slice (where the sc restriction
+    is vacuous), raises :class:`CalabiIndexingError`.  Deviations from the
+    reference vanishing patterns are reported (raised when ``strict``).
     """
     model = _background_model(background)
-    n = model.n
-    dim_v = comb(n + 1, 2)
-    dim_w = comb(n + 1, 3)
+    n, sigma = model.n, model.sigma
+    dim_k, dim_ky = comb(n + 1, 2), comb(n + 1, 3)
+    scaled = CohomologyProfile(m=sigma.m, h=tuple(dim_k * x for x in sigma.h),
+                               h_c=tuple(dim_ky * x for x in sigma.h_c), name=sigma.name)
+    table = full_table(SpacetimeModel(n=n, sigma=scaled, label=model.label))
+    sc = table.row(SupportClass.SPACELIKE_COMPACT)
+    unrestricted = table.row(SupportClass.UNRESTRICTED)
 
-    def h_m(l: int) -> int:
-        return model.h_spacetime(l) if 0 <= l <= n else 0
-
-    unrestricted = tuple(h_m(l) * dim_v for l in range(n + 1))
-    compact = tuple(h_m(n - l) * dim_w for l in range(n + 1))
-
-    def compact_at(l: int) -> int:
-        return compact[l] if 0 <= l <= n else 0
-
-    def unrestricted_at(l: int) -> int:
-        return unrestricted[l] if 0 <= l <= n else 0
-
-    sc = tuple(compact_at(l + 1) for l in range(n + 1))
-    tc = tuple(unrestricted_at(l - 1) for l in range(n + 1))
-    wave_sc = tuple(compact_at(l) + compact_at(l + 1) for l in range(n + 1))
-    wave = tuple(unrestricted_at(l) + unrestricted_at(l - 1) for l in range(n + 1))
-    zero_row = (0,) * (n + 1)
-
-    # cross-route gates: these must hold for any consistent degree indexing
-    problems = []
-    for l in range(n + 1):
-        if sc[l] != tc[n - l]:
-            problems.append(f"duality gate: sc[{l}]={sc[l]} != tc[{n - l}]={tc[n - l]}")
-        if wave_sc[l] != wave[n - l]:
-            problems.append(
-                f"solution duality gate: wave_sc[{l}]={wave_sc[l]} != wave[{n - l}]={wave[n - l]}")
-    slice_compact = model.sigma.h == model.sigma.h_c and model.sigma.h[model.sigma.m] > 0
-    if slice_compact and sc != unrestricted:
+    problems = list(pairing_audit(table).violations)
+    if sigma.h == sigma.h_c and sigma.h[sigma.m] > 0 and sc != unrestricted:
         problems.append(
             "compact-slice gate: sc restriction is vacuous over a compact slice "
             f"but sc row {sc} != unrestricted row {unrestricted}")
@@ -728,32 +691,13 @@ def calabi_table(background: str, strict: bool = False) -> CalabiTable:
         raise CalabiIndexingError("; ".join(problems))
 
     deviations = []
-    ref = REFERENCE_PATTERNS.get(background)
-    if ref is not None:
-        got_sc = tuple(l for l in range(n + 1) if sc[l])
-        got_wave_sc = tuple(l for l in range(n + 1) if wave_sc[l])
-        if got_sc != ref["sc"]:
+    ref = REFERENCE_PATTERNS[background]
+    for name, row in (("sc", sc), ("wave_sc", table.solution_row(SupportClass.SPACELIKE_COMPACT))):
+        got = tuple(l for l in range(n + 1) if row[l])
+        if got != ref[name]:
             deviations.append(
-                f"sc row nonzero at degrees {got_sc}, reference pattern says {ref['sc']}")
-        if got_wave_sc != ref["wave_sc"]:
-            deviations.append(
-                f"wave_sc row nonzero at degrees {got_wave_sc}, "
-                f"reference pattern says {ref['wave_sc']}")
+                f"{name} row nonzero at degrees {got}, reference pattern says {ref[name]}")
     if strict and deviations:
         raise CalabiIndexingError("; ".join(deviations))
-
-    rows = {
-        SupportClass.UNRESTRICTED: unrestricted,
-        SupportClass.COMPACT: compact,
-        SupportClass.SPACELIKE_COMPACT: sc,
-        SupportClass.TIMELIKE_COMPACT: tc,
-    }
-    for x in TRIVIAL_SUPPORTS:
-        rows[x] = zero_row
-    solution_rows = {
-        SupportClass.SPACELIKE_COMPACT: wave_sc,
-        SupportClass.UNRESTRICTED: wave,
-    }
-    return CalabiTable(background=background, n=n, dim_killing=dim_v,
-                       dim_killing_yano=dim_w, rows=rows, solution_rows=solution_rows,
+    return CalabiTable(**vars(table), dim_killing=dim_k, dim_killing_yano=dim_ky,
                        reference_deviations=tuple(deviations))

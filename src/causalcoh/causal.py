@@ -108,6 +108,13 @@ class CohomologyTable:
     def solution_row(self, x: SupportClass) -> tuple[int, ...]:
         return tuple(self.solution_dims[(x, p)] for p in range(self.n + 1))
 
+    def dim(self, x: SupportClass, p: int) -> int:
+        """Dimension at any integer degree; zero outside the tabulated ones."""
+        return self.dims.get((x, p), 0)
+
+    def solution_dim(self, x: SupportClass, p: int) -> int:
+        return self.solution_dims.get((x, p), 0)
+
 
 def full_table(model: SpacetimeModel) -> CohomologyTable:
     dims = {}

@@ -11,6 +11,7 @@ input errors both print a JSON diagnostic instead of the report.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -18,21 +19,21 @@ import sys
 
 from .calabi import (CALABI_BACKGROUNDS, CalabiError, CalabiIndexingError, SOLUTION_OPERATORS,
                      background_chart, calabi_table, polynomial_solution_dimension)
-from .causal import (SOLUTION_SUPPORTS, SpacetimeModel, SupportClass, full_table,
-                     pairing_audit, route_consistency)
+from .causal import (SOLUTION_SUPPORTS, CohomologyTable, SpacetimeModel, SupportClass,
+                     full_table, pairing_audit, route_consistency)
 from .charts import ChartError
 from .complexes import ComplexError, ExactnessError
 from .simplicial import (PRESET_NAMES, TriangulationError, build_complex, preset_profile,
                          profile_from_triangulation)
 from .tensors import TensorError
-from .verify import SUITES, run_suite
+from .verify import SUITE_READS, SUITES, run_suite
 from .young import YoungDiagram, hook_rank
 
 SCHEMA = "causalcoh.report/v1"
 
 # Failures of the program's own invariants, not of its input: no command
-# takes a complex, the gates of calabi_table compare two routes to one
-# table, and contractibility_check asserts a theorem.
+# takes a complex, calabi_table gates its table by the duality pairing and
+# by the compact-slice rule, and contractibility_check asserts a theorem.
 _INVARIANT_ERRORS = (CalabiIndexingError, ComplexError, ExactnessError, AssertionError)
 _INPUT_ERRORS = (CalabiError, ChartError, TriangulationError, TensorError, ValueError,
                  json.JSONDecodeError)
@@ -83,27 +84,22 @@ def _render_markdown(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-SUPPORT_ORDER = (SupportClass.UNRESTRICTED, SupportClass.COMPACT, SupportClass.RETARDED,
-                 SupportClass.ADVANCED, SupportClass.PAST_COMPACT,
-                 SupportClass.FUTURE_COMPACT, SupportClass.SPACELIKE_COMPACT,
-                 SupportClass.TIMELIKE_COMPACT)
-
-
-def _table_payload(row_of, solution_row_of, n: int) -> dict:
-    """Rows keyed by support class plus flat {support, degree, dim} entries."""
+def _table_payload(table: CohomologyTable) -> dict:
+    """Rows keyed by support class, in declaration order, plus flat
+    {support, degree, dim} entries."""
     rows = {}
     entries = []
-    for x in SUPPORT_ORDER:
-        row = list(row_of(x))
+    for x in SupportClass:
+        row = list(table.row(x))
         rows[x.value] = row
         entries.extend({"support": x.value, "degree": p, "dim": row[p]}
-                       for p in range(n + 1))
+                       for p in range(table.n + 1))
     solution_entries = []
     for x in SOLUTION_SUPPORTS:
-        row = list(solution_row_of(x))
+        row = list(table.solution_row(x))
         rows[f"wave_{x.value}"] = row
         solution_entries.extend({"support": x.value, "degree": p, "dim": row[p]}
-                                for p in range(n + 1))
+                                for p in range(table.n + 1))
     return {"table": rows, "entries": entries, "solution_entries": solution_entries}
 
 
@@ -149,7 +145,7 @@ def _cmd_derham(args, out) -> int:
     route = route_consistency(model)
     results = {
         "slice": {"m": sigma.m, "h": list(sigma.h), "h_c": list(sigma.h_c)},
-        **_table_payload(table.row, table.solution_row, table.n),
+        **_table_payload(table),
         "pairing_audit": {"ok": pairing.ok, "violations": list(pairing.violations)},
         "route_consistency": {"ok": route.ok, "violations": list(route.violations)},
     }
@@ -160,7 +156,7 @@ def _cmd_derham(args, out) -> int:
 def _cmd_calabi(args, out) -> int:
     table = calabi_table(args.background)
     results = {
-        **_table_payload(table.row, table.solution_row, table.n),
+        **_table_payload(table),
         "dim_killing": table.dim_killing,
         "dim_killing_yano": table.dim_killing_yano,
         "reference_deviations": list(table.reference_deviations),
@@ -251,17 +247,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Per-suite values of the verify arguments left out of the command line, as
-# the report's inputs echo them, and the arguments each suite reads.  An
-# explicit value for an argument the suite does not read is an input error.
-# Only the calabi suite reads a background, and only its report echoes one.
+# the report's inputs echo them.  An explicit value for an argument the suite
+# does not read (verify.SUITE_READS) is an input error.  Only the calabi
+# suite reads a background, and only its report echoes one.
 _SUITE_DEFAULTS = {
     "homology": {"cases": 100, "degree": 2},
     "forms": {"cases": 20, "degree": 2},
     "calabi": {"cases": 3, "degree": 2, "background": "minkowski4"},
     "young": {"cases": 0, "degree": 2},
 }
-_SUITE_READS = {"homology": ("cases",), "forms": ("cases", "degree"),
-                "calabi": ("cases", "degree", "background"), "young": ()}
 
 
 def _resolve_suite_arguments(args) -> None:
@@ -269,14 +263,16 @@ def _resolve_suite_arguments(args) -> None:
     for name in ("cases", "degree", "background"):
         if getattr(args, name) is None:
             setattr(args, name, defaults.get(name))
-        elif name not in _SUITE_READS[args.suite]:
+        elif name not in SUITE_READS[args.suite]:
             raise ValueError(f"verify --suite {args.suite} does not use --{name}")
+
+
+_parser = functools.cache(build_parser)  # built on the first call of main, not at import
 
 
 def main(argv=None, stdout=None) -> int:
     out = stdout if stdout is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {
         "derham": _cmd_derham,
         "calabi": _cmd_calabi,

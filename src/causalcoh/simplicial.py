@@ -8,6 +8,7 @@ Künneth product combinator, never by infinite triangulations.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -141,18 +142,27 @@ class CohomologyProfile:
         return self.h_c[p] if 0 <= p <= self.m else 0
 
 
-def profile_from_triangulation(k: SimplicialComplex, oriented_closed: bool = True,
-                               name: str = "") -> CohomologyProfile:
+def profile_from_triangulation(k: SimplicialComplex, name: str = "") -> CohomologyProfile:
     """Profile of a closed oriented triangulated slice (h_c = h).
 
-    Noncompact slices are not triangulated here; use the presets or
-    :func:`kunneth` instead.
+    The triangulation is refused with :class:`TriangulationError` unless
+    every face lies in an m-face, every (m-1)-face lies in exactly two
+    m-faces, and dim H^m = dim H^0, which then holds exactly when every
+    component is oriented.  Noncompact slices are not triangulated here;
+    use the presets or :func:`kunneth` instead.
     """
-    if not oriented_closed:
-        raise TriangulationError(
-            "only closed oriented triangulations are supported; use presets for open slices")
     m = k.dimension
+    for p in range(m):
+        cofaces = Counter(tau[:i] + tau[i + 1:] for tau in k.faces[p + 1] for i in range(p + 2))
+        for face in k.faces[p]:
+            if not cofaces[face] or (p == m - 1 and cofaces[face] != 2):
+                raise TriangulationError(
+                    f"{p}-face {face} lies in {cofaces[face]} {p + 1}-faces: the slice is not "
+                    + ("a closed manifold" if cofaces[face] else "pure"))
     dims = cohomology_dims(cochain_complex(k))
+    if dims[m] != dims[0]:
+        raise TriangulationError(
+            f"dim H^{m} = {dims[m]} but dim H^0 = {dims[0]}: the slice is not oriented")
     h = tuple(dims[p] for p in range(m + 1))
     return CohomologyProfile(m=m, h=h, h_c=h, name=name or f"triangulated-{m}d")
 

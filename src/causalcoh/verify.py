@@ -21,7 +21,10 @@ from .tensors import TensorField, first_difference
 from .young import (CALABI_DIAGRAMS, group_algebra_idempotent, hook_rank, projector_rank,
                     symmetrize_slots)
 
-SUITES = ("homology", "forms", "calabi", "young")
+#: The arguments besides the seed that each suite reads.
+SUITE_READS = {"homology": ("cases",), "forms": ("cases", "degree"),
+               "calabi": ("cases", "degree", "background"), "young": ()}
+SUITES = tuple(SUITE_READS)
 
 
 @dataclass(frozen=True)
@@ -191,19 +194,17 @@ def run_young_suite(seed: int = 0) -> SuiteReport:
     return SuiteReport("young", seed, {}, tuple(items))
 
 
+_RUNNERS = {"homology": run_homology_suite, "forms": run_forms_suite,
+            "calabi": run_calabi_suite, "young": run_young_suite}
+
+
 def run_suite(suite: str, **kwargs) -> SuiteReport:
-    if suite == "homology":
-        return run_homology_suite(seed=kwargs.get("seed", 0),
-                                  cases=kwargs.get("cases", 200))
-    if suite == "forms":
-        return run_forms_suite(seed=kwargs.get("seed", 0),
-                               cases=kwargs.get("cases", 50),
-                               degree=kwargs.get("degree", 3))
-    if suite == "calabi":
-        return run_calabi_suite(background=kwargs.get("background", "minkowski4"),
-                                seed=kwargs.get("seed", 42),
-                                degree=kwargs.get("degree", 2),
-                                cases=kwargs.get("cases", 20))
-    if suite == "young":
-        return run_young_suite(seed=kwargs.get("seed", 0))
-    raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
+    """Run the named suite on the seed and the arguments it reads.
+
+    Arguments the suite does not read are dropped, and those not given
+    take the runner's own defaults.
+    """
+    if suite not in _RUNNERS:
+        raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
+    reads = ("seed", *SUITE_READS[suite])
+    return _RUNNERS[suite](**{k: v for k, v in kwargs.items() if k in reads})

@@ -19,10 +19,12 @@ from causalcoh.calabi import (CALABI_BACKGROUNDS, CalabiError, CalabiField,
                               verify_calabi_identities, _fields_equal)
 import causalcoh.calabi as calabi_module
 import causalcoh.tensors as tensors_module
-from causalcoh.causal import SupportClass
+from causalcoh.causal import (SOLUTION_SUPPORTS, SpacetimeModel, SupportClass, full_table,
+                             pairing_audit)
 from causalcoh.charts import curvature, de_sitter, minkowski
 from causalcoh.linalg import MatrixQ, sparse_rank
 from causalcoh.polynomials import MultiPolynomial, RationalFunction
+from causalcoh.simplicial import preset_profile
 from causalcoh.tensors import (TensorField, box_tensor, metric_trace, nabla, odot, pattern_sum,
                                project)
 from causalcoh.young import CALABI_DIAGRAMS, YoungDiagram, project_components, symmetrize_slots
@@ -241,6 +243,21 @@ def test_calabi_table_degree_edge_convention():
     assert t.solution_dim(SC, -1) == 0
     assert t.solution_dim(SC, 5) == 0
     assert t.dim(SC, 0) == 10
+
+
+def test_calabi_table_is_the_de_rham_table_times_the_coefficient_rank():
+    # at n = 4 both coefficient ranks are 10: dim K = C(5, 2) = dim KY = C(5, 3)
+    for bg, preset in (("minkowski4", "euclidean"), ("deSitter4", "sphere")):
+        t = calabi_table(bg)
+        assert (t.dim_killing, t.dim_killing_yano) == (10, 10)
+        de_rham = full_table(SpacetimeModel(n=4, sigma=preset_profile(preset, 3)))
+        for x in SupportClass:
+            for p in range(-2, 7):
+                assert t.dim(x, p) == 10 * de_rham.dim(x, p)
+        for x in SOLUTION_SUPPORTS:
+            for p in range(-2, 7):
+                assert t.solution_dim(x, p) == 10 * de_rham.solution_dim(x, p)
+        assert pairing_audit(t).ok
 
 
 def test_unknown_background_rejected():

@@ -120,6 +120,51 @@ def test_calabi_backgrounds():
     assert len(rep["results"]["reference_deviations"]) == 2
 
 
+# SHA-256 of stdout for the calabi tables and the young suite, recorded
+# before calabi_table was rebuilt on full_table: the reports must stay
+# byte-identical.
+REPORT_DIGESTS = {
+    ("calabi", "--background", "minkowski4", "--format", "json"):
+        "a6de8478e334454610d6ee9d0a57fb4be9d7322f25236131adf8817a2417fd21",
+    ("calabi", "--background", "minkowski4", "--format", "md"):
+        "ccbc08eefe224a6d771b1b5bd3cad1f267a9bf1a2a46e91ed00c06d36eb66459",
+    ("calabi", "--background", "deSitter4", "--format", "json"):
+        "b399a3569cd6615423dbc84bafcd0a2c160462f738b22a41ff5d32570b8d0eb2",
+    ("calabi", "--background", "deSitter4", "--format", "md"):
+        "051e2495bdab21d2f53598f4982fd7e67089d7c0d4da798052ae28036a2b3069",
+    ("verify", "--suite", "young"):
+        "d6279dceb54ef576a141e827f6f1592f2e26eafe2b84dfb4dec1ca7f0a399036",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(REPORT_DIGESTS))
+def test_reports_are_byte_identical_to_their_pinned_digests(argv):
+    code, text = run_cli(*argv)
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[argv]
+
+
+def test_calabi_table_gate_names_the_degree_and_exits_1(monkeypatch):
+    import causalcoh.calabi as calabi_module
+    from causalcoh.causal import SpacetimeModel
+    from causalcoh.simplicial import CohomologyProfile
+
+    def skewed(background):
+        # h_c = (0, 0, 1, 0) is not the dual (0, 0, 0, 1) of h = (1, 0, 0, 0)
+        sigma = CohomologyProfile(m=3, h=(1, 0, 0, 0), h_c=(0, 0, 1, 0))
+        return SpacetimeModel(n=4, sigma=sigma, label=background)
+
+    monkeypatch.setattr(calabi_module, "_background_model", skewed)
+    with pytest.raises(CalabiIndexingError) as exc:
+        calabi_module.calabi_table("minkowski4")
+    assert "sc/tc pairing fails at p=2: 10 != 0" in str(exc.value)
+    assert "sc/tc pairing fails at p=3: 0 != 10" in str(exc.value)
+    code, rep = run_json("calabi", "--background", "minkowski4")
+    assert code == 1
+    assert rep["error_type"] == "CalabiIndexingError"
+    assert rep["error"] == str(exc.value)
+
+
 def test_hook_command():
     code, rep = run_json("hook", "--diagram", "2,2,1", "--n", "4")
     assert code == 0
@@ -167,6 +212,15 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_usage_error_leaves_the_parser_reusable():
+    argv = ("derham", "--preset", "torus", "--m", "3", "--n", "4", "--format", "md")
+    before = run_cli(*argv)
+    with pytest.raises(SystemExit) as exc:
+        main(["derham", "--n", "four"])
+    assert exc.value.code == 2
+    assert run_cli(*argv) == run_cli(*argv) == before
 
 
 def test_verify_failure_exits_1(monkeypatch):
@@ -243,6 +297,22 @@ def test_derham_rejects_malformed_triangulation(tmp_path, content):
     code, rep = run_json("derham", "--triangulation", str(path), "--n", "3")
     assert code == 2
     assert rep["error_type"] == "TriangulationError"
+
+
+# A disk has a boundary, and the 6-vertex real projective plane is closed
+# but not orientable: neither has h_c = h.
+@pytest.mark.parametrize("facets, needle", [
+    ([[0, 1, 2]], "1-face (0, 1) lies in 1 2-faces: the slice is not a closed manifold"),
+    ([[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 1, 5],
+      [1, 2, 4], [2, 3, 5], [1, 3, 4], [2, 4, 5], [1, 3, 5]], "the slice is not oriented"),
+], ids=["disk", "rp2"])
+def test_derham_refuses_a_slice_that_is_not_closed_and_oriented(tmp_path, facets, needle):
+    path = tmp_path / "slice.json"
+    path.write_text(json.dumps({"facets": facets}))
+    code, rep = run_json("derham", "--triangulation", str(path), "--n", "3")
+    assert code == 2
+    assert rep["error_type"] == "TriangulationError"
+    assert needle in rep["error"]
 
 
 def test_derham_unreadable_triangulation_exits_2(tmp_path):

@@ -104,7 +104,18 @@ def test_profile_from_triangulation():
 def test_profile_requires_closed_oriented():
     k = build_complex([(0, 1, 2)])
     with pytest.raises(TriangulationError):
-        profile_from_triangulation(k, oriented_closed=False)
+        profile_from_triangulation(k)
+
+
+@pytest.mark.parametrize("extra, message", [
+    ((3, 4), r"1-face \(3, 4\) lies in 0 2-faces: the slice is not pure"),
+    ((4,), r"0-face \(4,\) lies in 0 1-faces: the slice is not pure"),
+])
+def test_profile_requires_every_face_in_a_top_face(extra, message):
+    # the 2-sphere with a dangling edge, and with an isolated vertex
+    k = build_complex(simplex_boundary_facets(3) + (extra,))
+    with pytest.raises(TriangulationError, match=message):
+        profile_from_triangulation(k)
 
 
 def test_preset_sphere_matches_triangulation_oracle():

@@ -28,18 +28,21 @@ orbit tables of :mod:`causalcoh.young`.
 
 Fields are stored densely but computed per slot-symmetry orbit.  Every
 field of the corpus and every operator output carries its level's
-``symmetry`` tag, and a tag decides what is computed: nabla and box of a
-tagged field, and each pattern sum declared with the level's diagram, are
-evaluated at one canonical index per orbit and filled with signed copies.
+``symmetry`` tag, and a tag decides what is computed: nabla, box and the
+traces of a tagged field, and each pattern sum declared with the level's
+diagram, are evaluated at one canonical index per orbit and filled with
+signed copies; nabla and the traces keep the slot symmetries that survive
+them, so the divergences and nabla tb of the homotopies are too.
 The tag is set only where the output has the symmetry by construction,
 given an input of its level's type: the diagram's slot symmetries permute
 the terms of each declared sum among themselves, with their signs, and
 the remaining outputs are rebuilt from their canonical components by
 ``_with_symmetry``.  The ``check_symmetries`` battery checks every output
-against its Young projection.  The jet oracle
-:func:`linearized_riemann` and :func:`killing_system` read components by
-their flat index directly, so the oracle stays independent of the kernel
-behind the operators it checks.
+against its Young projection.  The jet oracle :func:`linearized_riemann`
+reads components by their flat index directly, so it stays independent of
+the kernel behind the operators it checks.  :func:`killing_system` applies
+the operators themselves, n + 1 times per unknown component, and builds
+its columns by the Leibniz rule.
 
 The restricted-support table :func:`calabi_table` has no degree
 bookkeeping of its own.  It is the slice's de Rham table
@@ -60,7 +63,7 @@ from .causal import CohomologyTable, SpacetimeModel, SupportClass, full_table, p
 from .charts import (Chart, ChartKind, christoffel_from_metric, de_sitter, lower_last_index,
                      minkowski, riemann_from_christoffel)
 from .linalg import sparse_rank
-from .polynomials import RationalFunction
+from .polynomials import RationalFunction, monomial_shift
 from .simplicial import CohomologyProfile, preset_profile
 from .tensors import (TensorField, box_tensor, first_difference, metric_trace, nabla, odot,
                       partial_tensor, pattern_sum, trace, trace_pair)
@@ -555,47 +558,69 @@ def killing_system(operator: str, chart: Chart, degree_bound: int) -> tuple[int,
     Returns the number of unknowns (one per upper-index component and
     monomial of the ansatz) and the sparse integer rows: one dict
     unknown -> coefficient per (output component, Laurent monomial), in
-    sorted row order.  Each unknown's column is scaled by the common
-    denominator of its output, which leaves the rank unchanged.
+    sorted row order.
+
+    Both operators are linear and first order.  For the unit field E of a
+    component (one upper-index entry, lowered with the metric) and a
+    monomial x^m the Leibniz rule gives
+
+        Op(x^m E) = x^m Op(E) + sum_c m_c x^(m - e_c) S_c(E),
+        S_c(E) = Op(x_c E) - x_c Op(E),
+
+    so the operator is applied n + 1 times per component, not once per
+    unknown.  A column is built by shifting the Laurent keys of Op(E) and
+    of the S_c(E) by the monomial and accumulating integers.  All columns
+    of a component are scaled by one common denominator of its n + 1
+    outputs; a positive scaling of a column leaves the rank unchanged.
     """
     if operator not in SOLUTION_OPERATORS:
         raise CalabiError(f"unknown operator {operator!r}")
     if degree_bound < 0:
         raise CalabiError(f"degree bound must be >= 0, got {degree_bound}")
     n = chart.n
-    monos = _monomials_up_to(n, degree_bound)
-    unknown_fields = []
+    g = chart.metric_diag
     if operator == "killing":
-        for a in range(n):
-            for mono in monos:
-                comp = RationalFunction.from_int_terms(n, [(mono, 1)])
-                comps = [chart.metric_diag[c] * comp if c == a else chart.zero
-                         for c in range(n)]
-                unknown_fields.append(TensorField(chart, "l", comps))
+        units = [TensorField(chart, "l", [g[a] if c == a else chart.zero for c in range(n)])
+                 for a in range(n)]
         apply_op = lambda v: calabi_diff(CalabiField(0, v)).field
     else:
-        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-        for (a, b) in pairs:
-            for mono in monos:
-                comp = RationalFunction.from_int_terms(n, [(mono, 1)])
+        units = []
+        for a in range(n):
+            for b in range(a + 1, n):
                 comps = [chart.zero] * (n * n)
-                val = chart.metric_diag[a] * chart.metric_diag[b] * comp
-                comps[a * n + b] = val
-                comps[b * n + a] = -val
-                unknown_fields.append(TensorField(chart, "ll", comps, symmetry=_ANTISYMMETRIC))
+                comps[a * n + b] = g[a] * g[b]
+                comps[b * n + a] = -comps[a * n + b]
+                units.append(TensorField(chart, "ll", comps, symmetry=_ANTISYMMETRIC))
         apply_op = lambda w: killing_yano_operator(chart, w)
+    monos = _monomials_up_to(n, degree_bound)
+    shifts = [monomial_shift(n, m) for m in monos]
+    unit_shifts = [monomial_shift(n, [int(c == v) for v in range(n)]) for c in range(n)]
+    coords = [chart.coordinate(c) for c in range(n)]
     rows: dict[tuple[int, int], dict] = {}
-    for i, v in enumerate(unknown_fields):
-        comps = apply_op(v).comps
-        common = lcm(*(c.d for c in comps))
-        for pos, c in enumerate(comps):
-            f = common // c.d
-            for mono, coeff in c.terms.items():
-                row = rows.get((pos, mono))
-                if row is None:
-                    row = rows[(pos, mono)] = {}
-                row[i] = coeff * f
-    return len(unknown_fields), [rows[key] for key in sorted(rows)]
+    column = 0
+    for unit in units:
+        op_e = apply_op(unit)
+        parts = [op_e]
+        for x in coords:
+            parts.append(apply_op(unit.scale(x)) - op_e.scale(x))
+        common = lcm(*(v.d for part in parts for v in part.comps))
+        terms = [[(pos, key, coeff * (common // v.d))
+                  for pos, v in enumerate(part.comps) for key, coeff in v.terms.items()]
+                 for part in parts]
+        for mono, shift in zip(monos, shifts):
+            acc: dict[tuple[int, int], int] = {}
+            for pos, key, coeff in terms[0]:
+                acc[pos, key + shift] = acc.get((pos, key + shift), 0) + coeff
+            for c, mc in enumerate(mono):
+                if mc:
+                    s = shift - unit_shifts[c]
+                    for pos, key, coeff in terms[c + 1]:
+                        acc[pos, key + s] = acc.get((pos, key + s), 0) + mc * coeff
+            for row_key, coeff in acc.items():
+                if coeff:
+                    rows.setdefault(row_key, {})[column] = coeff
+            column += 1
+    return column, [rows[key] for key in sorted(rows)]
 
 
 def polynomial_solution_dimension(operator: str, chart: Chart,

@@ -42,6 +42,12 @@ def _one_key(nvars: int) -> int:
     return key
 
 
+def monomial_shift(nvars: int, exponents) -> int:
+    """The integer whose addition to a packed monomial key of ``terms``
+    multiplies that monomial by x^exponents (negative exponents divide)."""
+    return _pack(exponents) - _one_key(nvars)
+
+
 def _coerce(c):
     """Normalize a coefficient: ints stay ints, integral Fractions become ints."""
     if isinstance(c, int):

@@ -15,14 +15,19 @@ Dense component arrays use the row-major flat index
 ``(((i_0 * n) + i_1) * n + ...) + i_{k-1}``, and :class:`SlotOrbits` is the
 one place that computes it.  A tensor of a diagram's type has the +-1 slot
 symmetries t[I o w] = s * t[I] of :func:`slot_symmetries`, derived from the
-projector pi as the pairs with w pi = s pi.  :func:`orbits` splits the
-indices into their orbits: one canonical index per orbit, a signed copy for
-every other member, and the orbits on which the symmetries force a zero.
-Storage stays dense; computation does not: ``slot_combination``, the
-signed sum of slot permutations to which every Young projection, Calabi
-operator and metric product reduces, evaluates each canonical index once
-and fills the orbit.  An output without a declared diagram has the trivial
-group, :func:`trivial_orbits`, and every index is evaluated.
+projector pi as the pairs with w pi = s pi.  Such a signed slot group,
+a frozenset of (w, s) pairs, is what a symmetry tag holds
+(:func:`slot_group`), and :func:`group_orbits` splits the indices into its
+orbits, built on first use and cached per group: one canonical index per
+orbit, a signed copy for every other member, and the orbits on which the
+symmetries force a zero.  :func:`orbits` does so for a diagram's group;
+:func:`lifted_group` and :func:`contracted_group` give the groups that
+survive a covariant derivative and a trace.  Storage stays dense;
+computation does not: ``slot_combination``, the signed sum of slot
+permutations to which every Young projection, Calabi operator and metric
+product reduces, evaluates each canonical index once and fills the orbit.
+An output without a declared symmetry has the trivial group,
+:func:`trivial_orbits`, and every index is evaluated.
 """
 
 from __future__ import annotations
@@ -197,24 +202,13 @@ class SlotOrbits:
             weights = _weights(self.n, self.k, perm)
             table = self._sources[perm] = array(
                 "H" if self.n ** self.k <= 1 << 16 else "L",
-                [sum(map(operator.mul, digits, weights)) for digits in self._digits])
+                [sum(map(operator.mul, digits, weights)) for digits in self.digits])
         return table
 
     @cached_property
-    def _digits(self) -> list[tuple[int, ...]]:
+    def digits(self) -> list[tuple[int, ...]]:
+        """The digits (i_0, ..., i_{k-1}) of each canonical index."""
         return [_digits(flat, self.n, self.k) for flat in self.canonical]
-
-    @cached_property
-    def lifted(self) -> "SlotOrbits":
-        """The orbits of rank-(k+1) indices (c, I) under the same group acting
-        on the last k slots: those of a covariant derivative."""
-        size = self.n ** self.k
-        shifts = [c * size for c in range(self.n)]
-        return SlotOrbits(
-            self.n, self.k + 1,
-            [s + flat for s in shifts for flat in self.canonical],
-            [(s + flat, s + canon, sign) for s in shifts for flat, canon, sign in self.fill],
-            [s + flat for s in shifts for flat in self.zeros])
 
 
 def _build_orbits(n: int, k: int, group) -> SlotOrbits:
@@ -263,10 +257,67 @@ def slot_symmetries(diagram: YoungDiagram) -> frozenset:
     return frozenset(out)
 
 
+def slot_group(symmetry) -> frozenset | None:
+    """The signed slot group of a symmetry tag: a diagram's
+    :func:`slot_symmetries`, a group of (perm, sign) pairs as given, and
+    None for no tag or the trivial group, so that two tags for one group
+    compare equal."""
+    group = slot_symmetries(symmetry) if isinstance(symmetry, YoungDiagram) else symmetry
+    return group if group is not None and len(group) > 1 else None
+
+
+def group_rank(group: frozenset) -> int:
+    """The number of slots a signed slot group permutes."""
+    return len(next(iter(group))[0])
+
+
 @lru_cache(maxsize=None)
+def lifted_group(group: frozenset) -> frozenset:
+    """``group`` acting on the last k of k + 1 slots: the slot symmetries of
+    the covariant derivative (extra slot leftmost) of a tensor with
+    ``group``."""
+    return frozenset(((0,) + tuple(t + 1 for t in w), s) for w, s in group)
+
+
+@lru_cache(maxsize=None)
+def contracted_group(group: frozenset, i: int, j: int) -> frozenset | None:
+    """The slot symmetries that survive the contraction of slots i and j.
+
+    An element (w, s) that maps the pair {i, j} onto itself maps each term
+    g^{ab} T[..a@i..b@j..] of the trace to s times a term of the same
+    trace (g^{ab} is symmetric), so its restriction to the other slots is
+    a symmetry of the trace with the sign s.  An element that moves a
+    contracted slot elsewhere is dropped.  If one restriction arises with
+    both signs, the group forces the trace to vanish on its orbits.
+    """
+    rest = [t for t in range(group_rank(group)) if t not in (i, j)]
+    place = {t: pos for pos, t in enumerate(rest)}
+    return slot_group(frozenset((tuple(place[w[t]] for t in rest), s)
+                                for w, s in group if {w[i], w[j]} == {i, j}))
+
+
+@lru_cache(maxsize=None)
+def group_orbits(n: int, group: frozenset) -> SlotOrbits:
+    """The orbits of a signed slot group on n-dimensional indices.
+
+    A group that fixes slot 0, such as that of a covariant derivative, has
+    the orbits of its action on the other slots once per value of slot 0;
+    they are shifted, not scanned again."""
+    k = group_rank(group)
+    if not k or any(w[0] for w, _ in group):
+        return _build_orbits(n, k, group)
+    inner = group_orbits(n, frozenset((tuple(t - 1 for t in w[1:]), s) for w, s in group))
+    shifts = [c * n ** (k - 1) for c in range(n)]
+    return SlotOrbits(
+        n, k,
+        [s + flat for s in shifts for flat in inner.canonical],
+        [(s + flat, s + canon, sign) for s in shifts for flat, canon, sign in inner.fill],
+        [s + flat for s in shifts for flat in inner.zeros])
+
+
 def orbits(n: int, diagram: YoungDiagram) -> SlotOrbits:
     """The slot-symmetry orbits of ``diagram`` on n-dimensional indices."""
-    return _build_orbits(n, diagram.cells, slot_symmetries(diagram))
+    return group_orbits(n, slot_symmetries(diagram))
 
 
 @lru_cache(maxsize=None)
@@ -324,7 +375,8 @@ def slot_combination(comps, n: int, k: int, terms, zero,
     """
     if diagram is not None and diagram.cells != k:
         raise ValueError(f"a rank-{k} output cannot have the symmetry of {diagram}")
-    orb = trivial_orbits(n, k) if diagram is None else orbits(n, diagram)
+    group = slot_group(diagram)
+    orb = trivial_orbits(n, k) if group is None else group_orbits(n, group)
     return orb.fill_from(_pull(comps, orb, terms, zero), zero)
 
 

@@ -8,6 +8,8 @@ linearization oracle and the restricted-support tables.
 import hashlib
 import random
 from fractions import Fraction
+from itertools import combinations, product
+from math import lcm
 
 import pytest
 
@@ -26,8 +28,9 @@ from causalcoh.linalg import MatrixQ, sparse_rank
 from causalcoh.polynomials import MultiPolynomial, RationalFunction
 from causalcoh.simplicial import preset_profile
 from causalcoh.tensors import (TensorField, box_tensor, metric_trace, nabla, odot, pattern_sum,
-                               project)
-from causalcoh.young import CALABI_DIAGRAMS, YoungDiagram, project_components, symmetrize_slots
+                               project, trace, trace_pair)
+from causalcoh.young import (CALABI_DIAGRAMS, YoungDiagram, lifted_group, project_components,
+                             slot_group, symmetrize_slots)
 from test_linalg import dense_rank
 
 SC = SupportClass.SPACELIKE_COMPACT
@@ -180,6 +183,17 @@ def test_solution_dimension_monotone_and_stable():
     assert dims[1] == dims[2] == 10  # stabilizes at the sufficient degree
     below = polynomial_solution_dimension("killing", ds, 1)
     assert below.below_sufficient
+    # killingYano reaches its stable dimension only at degree 3
+    yano = [polynomial_solution_dimension("killingYano", ds, d) for d in (2, 3, 4)]
+    assert [y.dim for y in yano] == [7, 10, 10]
+    assert yano[0].below_sufficient and not yano[1].below_sufficient
+    # on the flat chart both stabilize at degree 1: translations and
+    # constant 2-forms below it
+    m = minkowski(4)
+    for operator, constant in (("killing", 4), ("killingYano", 6)):
+        flat = [polynomial_solution_dimension(operator, m, d) for d in (0, 1, 2)]
+        assert [f.dim for f in flat] == [constant, 10, 10]
+        assert [f.below_sufficient for f in flat] == [True, False, False]
 
 
 @pytest.mark.parametrize("operator", ["killing", "killingYano"])
@@ -191,6 +205,73 @@ def test_sparse_killing_rank_equals_dense_rank(chart, operator):
         dense = MatrixQ.from_rows([[row.get(i, 0) for i in range(nunk)] for row in rows])
         assert sparse_rank(rows) == dense_rank(dense)
         assert polynomial_solution_dimension(operator, chart, degree).dim == nunk - dense_rank(dense)
+
+
+def reference_killing_system(operator, chart, degree_bound):
+    """The system built by applying the operator to every unknown's field:
+    the upper-index unit component times a monomial, lowered with the
+    metric.  Each column is scaled by the common denominator of its output."""
+    n = chart.n
+    monos = sorted(e for e in product(range(degree_bound + 1), repeat=n)
+                   if sum(e) <= degree_bound)
+    fields = []
+    if operator == "killing":
+        for a in range(n):
+            for mono in monos:
+                comp = RationalFunction.from_int_terms(n, [(mono, 1)])
+                fields.append(TensorField(chart, "l", [chart.metric_diag[c] * comp if c == a
+                                                       else chart.zero for c in range(n)]))
+        apply_op = lambda v: calabi_diff(CalabiField(0, v)).field
+    else:
+        for a in range(n):
+            for b in range(a + 1, n):
+                for mono in monos:
+                    comp = RationalFunction.from_int_terms(n, [(mono, 1)])
+                    comps = [chart.zero] * (n * n)
+                    val = chart.metric_diag[a] * chart.metric_diag[b] * comp
+                    comps[a * n + b] = val
+                    comps[b * n + a] = -val
+                    fields.append(TensorField(chart, "ll", comps))
+        apply_op = lambda w: killing_yano_operator(chart, w)
+    rows = {}
+    for i, v in enumerate(fields):
+        comps = apply_op(v).comps
+        common = lcm(*(c.d for c in comps))
+        for pos, c in enumerate(comps):
+            for mono, coeff in c.terms.items():
+                rows.setdefault((pos, mono), {})[i] = coeff * (common // c.d)
+    return len(fields), rows
+
+
+KILLING_ORACLE_CHARTS = [minkowski(4), de_sitter(4, 1), de_sitter(4, Fraction(2, 3)),
+                         minkowski(3), de_sitter(3, 1)]
+
+
+@pytest.mark.parametrize("operator", ["killing", "killingYano"])
+@pytest.mark.parametrize("chart", KILLING_ORACLE_CHARTS,
+                         ids=["minkowski4", "deSitter4", "deSitter4(H=2/3)", "minkowski3",
+                              "deSitter3"])
+def test_killing_system_equals_the_unit_field_oracle(chart, operator):
+    # the same unknowns and row keys, and each column a positive multiple of
+    # the oracle's column
+    for degree in range(5):
+        nunk, rows = killing_system(operator, chart, degree)
+        ref_nunk, ref_rows = reference_killing_system(operator, chart, degree)
+        assert nunk == ref_nunk
+        keys = sorted(ref_rows)
+        assert len(rows) == len(keys)
+        columns, ref_columns = {}, {}
+        for key, row, ref_row in zip(keys, rows, (ref_rows[k] for k in keys)):
+            for i, c in row.items():
+                columns.setdefault(i, {})[key] = c
+            for i, c in ref_row.items():
+                ref_columns.setdefault(i, {})[key] = c
+        assert sorted(columns) == sorted(ref_columns)
+        for i, col in columns.items():
+            ref_col = ref_columns[i]
+            assert col.keys() == ref_col.keys()
+            ratios = {Fraction(c, ref_col[key]) for key, c in col.items()}
+            assert len(ratios) == 1 and ratios.pop() > 0
 
 
 def test_identity_battery_with_non_unit_denominators():
@@ -356,11 +437,21 @@ def test_tagged_evaluation_equals_dense_evaluation(chart, monkeypatch):
     fields = [random_calabi_field(chart, level, rng).field for level in range(5)]
     for level, t in enumerate(fields):
         diagram = CALABI_DIAGRAMS[level]
-        assert t.symmetry == diagram
+        assert t.symmetry == slot_group(diagram)
         dense = _untagged(t)
         assert nabla(t).comps == nabla(dense).comps
         boxed = box_tensor(t)
-        assert boxed.symmetry == diagram and boxed.comps == box_tensor(dense).comps
+        assert boxed.symmetry == slot_group(diagram) and boxed.comps == box_tensor(dense).comps
+        # nabla and the traces keep the slot symmetries that survive them
+        derivative = nabla(t)
+        assert derivative.symmetry == (lifted_group(slot_group(diagram)) if level else None)
+        for tagged in (t, derivative):
+            plain = _untagged(tagged)
+            for i, j in combinations(range(tagged.rank), 2):
+                assert trace_pair(tagged, i, j).comps == trace_pair(plain, i, j).comps
+            for kind, rank in (("h", 2), ("r", 4), ("b3", 5), ("b4", 6)):
+                if tagged.rank == rank:
+                    assert trace(tagged, kind).comps == trace(plain, kind).comps
         raw = [random_polynomial(rng, n, 2) for _ in range(n ** diagram.cells)]
         assert (project_components(raw, n, diagram, chart.zero)
                 == _dense_projection(raw, n, diagram, chart.zero))

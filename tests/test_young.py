@@ -197,6 +197,25 @@ def test_orbit_counts():
     assert orbits(4, CALABI_DIAGRAMS[4]) is orbits(4, CALABI_DIAGRAMS[4])
 
 
+def test_orbit_counts_of_the_homotopy_intermediates():
+    # the divergence trace_pair(nabla(b), 0, 1), tb = trace(b) and nabla(tb)
+    # of the level-3 and level-4 homotopies at n = 4, against 256 and 1024
+    # dense components
+    from causalcoh.young import contracted_group, group_orbits, lifted_group, slot_symmetries
+
+    def count(group):
+        return len(group_orbits(4, group).canonical)
+
+    for level, traced, expected in ((3, (2, 4), (36, 24, 96)), (4, (3, 5), (24, 16, 64))):
+        group = slot_symmetries(CALABI_DIAGRAMS[level])
+        tb = contracted_group(group, *traced)
+        assert (count(contracted_group(lifted_group(group), 0, 1)), count(tb),
+                count(lifted_group(tb))) == expected
+    # tracing an antisymmetric pair leaves a group that forces zero
+    antisymmetric = slot_symmetries(YoungDiagram((1, 1)))
+    assert count(contracted_group(antisymmetric, 0, 1)) == 0
+
+
 @pytest.mark.parametrize("diagram", ORBIT_DIAGRAMS, ids=lambda d: str(d.rows))
 def test_slot_symmetries_are_column_antisymmetry_and_column_exchange(diagram):
     from causalcoh.young import slot_symmetries
@@ -205,18 +224,28 @@ def test_slot_symmetries_are_column_antisymmetry_and_column_exchange(diagram):
 
 @pytest.mark.parametrize("diagram", ORBIT_DIAGRAMS, ids=lambda d: str(d.rows))
 def test_orbits_partition_the_indices(diagram):
-    from causalcoh.young import orbits, slot_symmetries
-    n, k = 3, diagram.cells
-    orb = orbits(n, diagram)
-    group = slot_symmetries(diagram)
-    members = list(orb.canonical) + [f for f, _, _ in orb.fill] + list(orb.zeros)
-    assert sorted(members) == list(range(n ** k))
-    # a zero orbit is exactly one whose stabiliser holds a -1
-    for idx in itertools.product(range(n), repeat=k):
-        vanishes = any(s == -1 and _permuted(idx, w) == idx for w, s in group)
-        assert (_flat(idx, n) in orb.zeros) == vanishes
-    for flat, canon, sign in orb.fill:
-        assert canon < flat and canon in orb.canonical and sign in (1, -1)
+    from causalcoh.young import group_orbits, lifted_group, orbits, slot_symmetries
+    n = 3
+    assert orbits(n, diagram) is group_orbits(n, slot_symmetries(diagram))
+    # the diagram's group, and the group of a covariant derivative, whose
+    # orbits are those of the diagram shifted once per derivative index
+    for group in (slot_symmetries(diagram), lifted_group(slot_symmetries(diagram))):
+        k = len(next(iter(group))[0])
+        orb = group_orbits(n, group)
+        members = list(orb.canonical) + [f for f, _, _ in orb.fill] + list(orb.zeros)
+        assert sorted(members) == list(range(n ** k))
+        # a zero orbit is exactly one whose stabiliser holds a -1
+        for idx in itertools.product(range(n), repeat=k):
+            vanishes = any(s == -1 and _permuted(idx, w) == idx for w, s in group)
+            assert (_flat(idx, n) in orb.zeros) == vanishes
+        for flat, canon, sign in orb.fill:
+            assert canon < flat and canon in orb.canonical and sign in (1, -1)
+        # every image I o w of a canonical I is filled from I with the sign s
+        source = {flat: (canon, sign) for flat, canon, sign in orb.fill}
+        source.update((flat, (flat, 1)) for flat in orb.canonical)
+        for flat, digits in zip(orb.canonical, orb.digits):
+            for w, s in group:
+                assert source[_flat(_permuted(digits, w), n)] == (flat, s)
 
 
 @pytest.mark.parametrize("n, diagram", [(n, d) for n in (3, 4) for d in ORBIT_DIAGRAMS

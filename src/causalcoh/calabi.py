@@ -36,9 +36,11 @@ them, so the divergences and nabla tb of the homotopies are too.
 The tag is set only where the output has the symmetry by construction,
 given an input of its level's type: the diagram's slot symmetries permute
 the terms of each declared sum among themselves, with their signs, and
-the remaining outputs are rebuilt from their canonical components by
-``_with_symmetry``.  The ``check_symmetries`` battery checks every output
-against its Young projection.  The jet oracle :func:`linearized_riemann`
+every other output inherits its tag from the operators it is built from,
+since a sum keeps a tag its terms share.  An untagged input therefore
+gives an untagged output, evaluated at every index.  The
+``check_symmetries`` battery checks every output against its Young
+projection.  The jet oracle :func:`linearized_riemann`
 reads components by their flat index directly, so it stays independent of
 the kernel behind the operators it checks.  :func:`killing_system` applies
 the operators themselves, n + 1 times per unknown component, and builds
@@ -67,7 +69,7 @@ from .polynomials import RationalFunction, monomial_shift
 from .simplicial import CohomologyProfile, preset_profile
 from .tensors import (TensorField, box_tensor, first_difference, metric_trace, nabla, odot,
                       partial_tensor, pattern_sum, trace, trace_pair)
-from .young import CALABI_DIAGRAMS, YoungDiagram, is_symmetric, orbits, project_components
+from .young import CALABI_DIAGRAMS, YoungDiagram, is_symmetric, project_components
 
 
 class CalabiError(ValueError):
@@ -194,22 +196,13 @@ def calabi_homotopy(f: CalabiField) -> CalabiField:
     if level == 1:
         # homotopy_1[h]_a = nabla^b h_ab - 1/2 nabla_a tr h
         out = trace_pair(nabla(t), 0, 2) - partial_tensor(trace(t, "h")).scale(Fraction(1, 2))
-        return CalabiField(0, _with_symmetry(out, 0))
+        return CalabiField(0, out)
     if level == 2:
         # homotopy_2[r]_ab = r_{ac:b}^c
-        return CalabiField(1, _with_symmetry(trace(t, "r"), 1))
+        return CalabiField(1, trace(t, "r"))
     if level == 3:
         return CalabiField(2, _homotopy3(t))
     return CalabiField(3, _homotopy4(t))
-
-
-def _with_symmetry(t: TensorField, level: int) -> TensorField:
-    """``t``, of the level's symmetry type by construction, rebuilt from its
-    canonical components by the orbit fill and tagged."""
-    diagram = CALABI_DIAGRAMS[level]
-    orb = orbits(t.chart.n, diagram)
-    comps = orb.fill_from([t.comps[flat] for flat in orb.canonical], t.chart.zero)
-    return TensorField(t.chart, t.variance, comps, symmetry=diagram)
 
 
 def _homotopy3(b: TensorField) -> TensorField:
@@ -262,7 +255,7 @@ def calabi_wave(f: CalabiField) -> CalabiField:
     boxed = box_tensor(t)
     if level == 0:
         out = boxed + t.scale(Fraction(k, n)) if k else boxed
-        return CalabiField(0, _with_symmetry(out, 0))
+        return CalabiField(0, out)
     if level == 1:
         out = boxed
         if k:
@@ -270,24 +263,24 @@ def calabi_wave(f: CalabiField) -> CalabiField:
             trh = metric_trace(t)
             gtr = TensorField.metric(chart).scale(trh)
             out = out - t.scale(coeff) + gtr.scale(coeff)
-        return CalabiField(1, _with_symmetry(out, 1))
+        return CalabiField(1, out)
     if level == 2:
         out = boxed
         if k:
             out = out - t.scale(Fraction(2 * k, n))
             out = out + odot(chart, trace(t, "r"), "s2s2").scale(Fraction(2 * k, n * (n - 1)))
-        return CalabiField(2, _with_symmetry(out, 2))
+        return CalabiField(2, out)
     if level == 3:
         out = boxed
         if k:
             out = out - t.scale(Fraction(k * (3 * n - 7), n * (n - 1)))
             out = out - odot(chart, trace(t, "b3"), "s2_21").scale(Fraction(2 * k, n * (n - 1)))
-        return CalabiField(3, _with_symmetry(out, 3))
+        return CalabiField(3, out)
     out = boxed
     if k:
         out = out - t.scale(Fraction(2 * k * (2 * n - 7), n * (n - 1)))
         out = out + odot(chart, trace(t, "b4"), "s2_211").scale(Fraction(2 * k, n * (n - 1)))
-    return CalabiField(4, _with_symmetry(out, 4))
+    return CalabiField(4, out)
 
 
 def killing_operator(f: CalabiField) -> CalabiField:
@@ -386,10 +379,13 @@ def verify_calabi_identities(chart: Chart, seed: int = 42, degree_bound: int = 2
     For seeded random Young-projected polynomial fields: the composition of
     consecutive differentials vanishes (levels 1..3), the homotopy identity
     holds at levels 1..3 and at both edges, all as exact Laurent-polynomial
-    equalities.
+    equalities.  A battery with no cases checks nothing, so ``cases`` must
+    be at least 1.
     """
     if degree_bound < 1:
         raise CalabiError("degree bound must be >= 1")
+    if cases < 1:
+        raise CalabiError(f"cases must be >= 1, got {cases}")
     rng = random.Random(seed)
     corpus = {level: [random_calabi_field(chart, level, rng, degree_bound)
                       for _ in range(cases)]

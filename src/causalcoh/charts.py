@@ -7,7 +7,11 @@ geometric -- Christoffel symbols, curvature, the inverse metric, the
 volume scalar -- is then a Laurent polynomial in the coordinates (see
 :mod:`causalcoh.polynomials`) and is computed exactly; the only division
 the charts need, by the conformal factor and its square, is division by a
-monomial.
+monomial.  The nonzero Christoffel symbols are also kept as the two pull
+tables of :attr:`Chart.connection_pulls`, built once per chart: for a
+derivative index and a slot value, the symbols that the covariant
+derivative of :mod:`causalcoh.tensors` reads for a lower and for an upper
+slot.
 
 :func:`curvature` computes the curvature from the Christoffel symbols and
 *verifies* it against the constant-curvature closed forms
@@ -144,11 +148,6 @@ class Chart:
         return tuple(w.derivative(i) / w for i in range(self.n))
 
     @cached_property
-    def christoffel_entries(self) -> tuple[tuple[int, int, int, RationalFunction], ...]:
-        """Nonzero Christoffel symbols as (a, b, c, Gamma^a_bc), b,c ordered."""
-        return tuple((a, b, c, v) for (a, b, c), v in self.christoffel_dict.items())
-
-    @cached_property
     def christoffel_dict(self) -> dict:
         n = self.n
         w = self.dln_conformal
@@ -171,6 +170,19 @@ class Chart:
 
     def christoffel_component(self, a: int, b: int, c: int) -> RationalFunction:
         return self.christoffel_dict.get((a, b, c), self.zero)
+
+    @cached_property
+    def connection_pulls(self) -> tuple[dict, dict]:
+        """The nonzero symbols as the covariant derivative reads them:
+        ``lower[c, a]`` lists (d, Gamma^d_{ca}), the pulls of a lower slot
+        holding a, and ``upper[c, d]`` lists (a, Gamma^d_{ca}), those of an
+        upper slot holding d."""
+        lower: dict[tuple[int, int], list] = {}
+        upper: dict[tuple[int, int], list] = {}
+        for (d, c, a), gamma in self.christoffel_dict.items():
+            lower.setdefault((c, a), []).append((d, gamma))
+            upper.setdefault((c, d), []).append((a, gamma))
+        return lower, upper
 
 
 def minkowski(n: int = 4) -> Chart:

@@ -18,21 +18,18 @@ from itertools import combinations
 from string import ascii_lowercase
 
 from .tensors import UPPER, TensorField, partial_tensor, pattern_sum, project
-from .young import SlotOrbits, YoungDiagram, is_symmetric, orbits, permutation_sign, trivial_orbits
+from .young import YoungDiagram, is_symmetric, orbits, permutation_sign
 
 
 class FormError(ValueError):
     pass
 
 
-def _column(p: int) -> YoungDiagram:
-    """The diagram of p-forms: one column, antisymmetric in all p slots."""
-    return YoungDiagram((1,) * p)
-
-
-def _form_orbits(n: int, p: int) -> SlotOrbits:
-    """The orbits of p-form indices; the canonical ones are the sorted p-subsets."""
-    return orbits(n, _column(p)) if p else trivial_orbits(n, 0)
+def _column(p: int) -> YoungDiagram | None:
+    """The diagram of p-forms: one column, antisymmetric in all p slots;
+    None for 0-forms, which have no slots.  The canonical indices of its
+    orbits are the sorted p-subsets."""
+    return YoungDiagram((1,) * p) if p else None
 
 
 def _shuffle(subset: tuple, k: int) -> tuple:
@@ -94,7 +91,7 @@ def hodge_star(w: TensorField) -> TensorField:
     ginv = chart.inverse_metric_diag
     vol = chart.volume_scalar
     values = []
-    for subset, flat in zip(combinations(range(n), p), _form_orbits(n, p).canonical):
+    for subset, flat in zip(combinations(range(n), p), orbits(n, p, _column(p)).canonical):
         v = anti[flat]
         if not v.is_zero():
             for a in subset:
@@ -104,7 +101,8 @@ def hodge_star(w: TensorField) -> TensorField:
                 v = -v
         values.append(v)
     values.reverse()
-    return TensorField(chart, "l" * (n - p), _form_orbits(n, n - p).fill_from(values, chart.zero))
+    dual = orbits(n, n - p, _column(n - p))
+    return TensorField(chart, "l" * (n - p), dual.fill_from(values, chart.zero))
 
 
 def codifferential_sign(p: int, n: int) -> int:

@@ -2,9 +2,12 @@
 
 Components are stored densely with the flat index
 ``(((i_0 * n) + i_1) * n + ...) + i_{r-1}``; desk scale (n <= 4, rank <= 7)
-keeps this comfortably small.  The covariant derivative exploits the
-sparsity of conformally flat Christoffel symbols: corrections iterate over
-the O(n) nonzero symbols instead of the dense n^3 cube.
+keeps this comfortably small.  One kernel computes a component of the
+covariant derivative: :func:`nabla` maps it over its canonical indices, and
+:func:`box_tensor` applies it to nabla T at the diagonal components
+(c, c, J).  It exploits the sparsity of conformally flat Christoffel
+symbols: the corrections iterate over the O(n) nonzero symbols of the
+chart's pull tables instead of the dense n^3 cube.
 
 Storage is dense, but computation follows the ``symmetry`` tag.  A tag is
 a signed slot group, the frozenset of pairs (w, s) with t[I o w] = s * t[I]
@@ -12,7 +15,7 @@ a signed slot group, the frozenset of pairs (w, s) with t[I o w] = s * t[I]
 converted to its group once, and the trivial group is stored as None.
 :func:`nabla`, :func:`box_tensor`, :func:`trace_pair`, :func:`project` and
 a :func:`pattern_sum` with a declared symmetry evaluate one canonical index
-per orbit of the group (:func:`causalcoh.young.group_orbits`) and fill the
+per orbit of the group (:func:`causalcoh.young.orbits`) and fill the
 rest of the orbit with signed copies; an untagged field has the trivial
 group and every index is evaluated.  A wrong tag therefore gives wrong
 components, so the tag is set only on output that is symmetric by
@@ -42,8 +45,8 @@ from typing import Callable, Sequence
 
 from .charts import Chart
 from .polynomials import RationalFunction
-from .young import (SlotOrbits, YoungDiagram, contracted_group, group_orbits, group_rank,
-                    lifted_group, slot_combination, slot_group, trivial_orbits)
+from .young import (YoungDiagram, contracted_group, group_rank, lifted_group, orbits,
+                    project_components, slot_combination, slot_group)
 
 LOWER = "l"
 UPPER = "u"
@@ -122,7 +125,7 @@ class TensorField:
 
     def _pointwise(self, fn, symmetry, *others) -> "TensorField":
         comps = [self.comps] + [o.comps for o in others]
-        orb = _orbits(self.chart.n, self.rank, symmetry)
+        orb = orbits(self.chart.n, self.rank, symmetry)
         out = orb.fill_from([fn(*(c[flat] for c in comps)) for flat in orb.canonical],
                             self.chart.zero)
         return TensorField(self.chart, self.variance, out, symmetry=symmetry)
@@ -177,52 +180,31 @@ def first_difference(t: TensorField, other_comps) -> str:
 def partial_tensor(t: TensorField) -> TensorField:
     """Coordinate derivative: one extra lower index, leftmost."""
     n = t.chart.n
-    size = len(t.comps)
     out = []
     for c in range(n):
         out.extend(comp.derivative(c) for comp in t.comps)
     return TensorField(t.chart, LOWER + t.variance, out)
 
 
-def _orbits(n: int, rank: int, group: frozenset | None) -> SlotOrbits:
-    """The slot-symmetry orbits that decide which components get computed."""
-    return trivial_orbits(n, rank) if group is None else group_orbits(n, group)
-
-
-def _christoffel_pulls(chart: Chart) -> dict:
-    """(c, a) -> [(d, Gamma^d_{ca}), ...] over the nonzero symbols."""
-    pulls: dict[tuple[int, int], list] = {}
-    for (d, c, a, gamma) in chart.christoffel_entries:
-        pulls.setdefault((c, a), []).append((d, gamma))
-    return pulls
-
-
-def nabla(t: TensorField) -> TensorField:
-    """Covariant derivative (extra lower index, leftmost), exact.
+def _derivative_at(t: TensorField) -> Callable[[int], RationalFunction]:
+    """The one covariant-derivative kernel: flat -> (nabla_c T)[J] at the
+    flat index c * n^r + J of nabla T, with
 
     (nabla T)[c, J] = d_c T[J] - sum_i Gamma^d_{c J_i} T[J_i -> d]   (lower slots)
                               + sum_i Gamma^{J_i}_{c d} T[J_i -> d]  (upper slots)
 
-    nabla T has T's slot symmetries on its last slots, so it is evaluated
-    at one (c, J) per orbit, filled, and tagged with the lifted group.
+    summed over the nonzero symbols of :attr:`Chart.connection_pulls`; the
+    slots' place values and pull tables are looked up once per kernel.
     """
     chart = t.chart
     n = chart.n
-    r = t.rank
-    size = n ** r
+    size = n ** t.rank
     src = t.comps
-    # a lower slot with digit a pulls Gamma^d_{ca} T[..d..]; an upper slot
-    # with digit d pulls Gamma^d_{ca} T[..a..]
-    lower = _christoffel_pulls(chart)
-    upper: dict[tuple[int, int], list] = {}
-    for (d, c, a, gamma) in chart.christoffel_entries:
-        upper.setdefault((c, d), []).append((a, gamma))
-    slots = [(n ** (r - 1 - slot), lower if v == LOWER else upper, v == LOWER)
+    lower, upper = chart.connection_pulls
+    slots = [(n ** (t.rank - 1 - slot), lower if v == LOWER else upper, v == LOWER)
              for slot, v in enumerate(t.variance)]
-    group = None if t.symmetry is None else lifted_group(t.symmetry)
-    orb = _orbits(n, r + 1, group)
-    values = []
-    for flat in orb.canonical:
+
+    def at(flat: int) -> RationalFunction:
         c, j = divmod(flat, size)
         v = src[j].derivative(c)
         for block, pulls, is_lower in slots:
@@ -231,53 +213,49 @@ def nabla(t: TensorField) -> TensorField:
                 u = src[j + (other - digit) * block]
                 if not u.is_zero():
                     v = v - gamma * u if is_lower else v + gamma * u
-        values.append(v)
-    return TensorField(chart, LOWER + t.variance, orb.fill_from(values, chart.zero),
+        return v
+
+    return at
+
+
+def nabla(t: TensorField) -> TensorField:
+    """Covariant derivative (extra lower index, leftmost), exact.
+
+    nabla T has T's slot symmetries on its last slots, so the kernel is
+    evaluated at one (c, J) per orbit, filled, and tagged with the lifted
+    group.
+    """
+    group = None if t.symmetry is None else lifted_group(t.symmetry)
+    orb = orbits(t.chart.n, t.rank + 1, group)
+    values = list(map(_derivative_at(t), orb.canonical))
+    return TensorField(t.chart, LOWER + t.variance, orb.fill_from(values, t.chart.zero),
                        symmetry=group)
 
 
 def box_tensor(t: TensorField) -> TensorField:
     """g^{cb} nabla_c nabla_b T for an all-lower tensor field.
 
-    Only the components of the second derivative that hit nonzero inverse
-    metric entries are computed (the inverse metric is diagonal here), and
-    only at one index per slot-symmetry orbit of T; the output keeps T's
-    symmetry tag.
+    The second derivative is the kernel applied to nabla T, at the
+    components (c, c, J) of the nonzero entries g^{cc} of the (diagonal)
+    inverse metric, and at one J per slot-symmetry orbit of T; the output
+    keeps T's symmetry tag.
     """
     if UPPER in t.variance:
         raise TensorError("box is implemented for all-lower tensors")
     chart = t.chart
     n = chart.n
-    r = t.rank
-    size = n ** r
-    s1 = nabla(t).comps  # (nabla T)[c, J] at c * size + J
-    ginv = chart.inverse_metric_diag
-    pulls = _christoffel_pulls(chart)
-    blocks = [n ** (r - 1 - slot) for slot in range(r)]
-    orb = _orbits(n, r, t.symmetry)
+    size = n ** t.rank
+    second = _derivative_at(nabla(t))
+    diagonal = [((c * n + c) * size, g) for c, g in enumerate(chart.inverse_metric_diag)
+                if not g.is_zero()]
+    orb = orbits(n, t.rank, t.symmetry)
     values = []
     for j in orb.canonical:
         total = chart.zero
-        for c in range(n):
-            gcc = ginv[c]
-            if gcc.is_zero():
-                continue
-            base = c * size
-            # (nabla nabla T)[c, c, J]: the derivative, the correction on the
-            # derivative slot of nabla T, then those on the slots of J
-            v = s1[base + j].derivative(c)
-            for d, g in pulls.get((c, c), ()):
-                u = s1[d * size + j]
-                if not u.is_zero():
-                    v = v - g * u
-            for block in blocks:
-                digit = j // block % n
-                for d, g in pulls.get((c, digit), ()):
-                    u = s1[base + j + (d - digit) * block]
-                    if not u.is_zero():
-                        v = v - g * u
+        for offset, g in diagonal:
+            v = second(offset + j)
             if not v.is_zero():
-                total = total + gcc * v
+                total = total + g * v
         values.append(total)
     return TensorField(chart, t.variance, orb.fill_from(values, chart.zero),
                        symmetry=t.symmetry)
@@ -302,7 +280,7 @@ def trace_pair(t: TensorField, i: int, j: int) -> TensorField:
     i, j = min(i, j), max(i, j)
     new_var = "".join(v for k, v in enumerate(t.variance) if k not in (i, j))
     group = None if t.symmetry is None else contracted_group(t.symmetry, i, j)
-    orb = _orbits(n, r - 2, group)
+    orb = orbits(n, r - 2, group)
     # the flat index of T at output digits K with a in slots i and j is
     # base(K) + a * step
     weights = [n ** (r - 1 - k) for k in range(r) if k not in (i, j)]
@@ -400,7 +378,6 @@ def _require_symmetry(t: TensorField, sign: int) -> None:
 
 def project(t: TensorField, diagram: YoungDiagram) -> TensorField:
     """Apply the Young-symmetry projector of ``diagram`` to a tensor field."""
-    from .young import project_components
     if t.rank != diagram.cells:
         raise TensorError(
             f"diagram with {diagram.cells} cells cannot project a rank-{t.rank} tensor")
@@ -408,7 +385,10 @@ def project(t: TensorField, diagram: YoungDiagram) -> TensorField:
     return TensorField(t.chart, t.variance, comps, symmetry=diagram)
 
 
-TRACE_KINDS = ("h", "r", "b3", "b4")
+# kind -> (input rank, contracted slots)
+_TRACE = {"h": (2, (0, 1)), "r": (4, (1, 3)), "b3": (5, (2, 4)), "b4": (6, (3, 5))}
+
+TRACE_KINDS = tuple(_TRACE)
 
 
 def trace(t: TensorField, kind: str) -> TensorField:
@@ -419,20 +399,9 @@ def trace(t: TensorField, kind: str) -> TensorField:
     ``b3`` : tr[b]_{ab:c} = b_{abe:c}^e    (rank 5 -> rank 3)
     ``b4`` : tr[b]_{abc:d} = b_{abce:d}^e  (rank 6 -> rank 4)
     """
-    if kind == "h":
-        if t.rank != 2:
-            raise TensorError("trace kind 'h' expects rank 2")
-        return TensorField.scalar(t.chart, metric_trace(t))
-    if kind == "r":
-        if t.rank != 4:
-            raise TensorError("trace kind 'r' expects rank 4")
-        return trace_pair(t, 1, 3)
-    if kind == "b3":
-        if t.rank != 5:
-            raise TensorError("trace kind 'b3' expects rank 5")
-        return trace_pair(t, 2, 4)
-    if kind == "b4":
-        if t.rank != 6:
-            raise TensorError("trace kind 'b4' expects rank 6")
-        return trace_pair(t, 3, 5)
-    raise TensorError(f"unknown trace kind {kind!r}; expected one of {TRACE_KINDS}")
+    if kind not in _TRACE:
+        raise TensorError(f"unknown trace kind {kind!r}; expected one of {TRACE_KINDS}")
+    rank, pair = _TRACE[kind]
+    if t.rank != rank:
+        raise TensorError(f"trace kind {kind!r} expects rank {rank}")
+    return trace_pair(t, *pair)

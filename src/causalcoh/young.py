@@ -17,17 +17,17 @@ one place that computes it.  A tensor of a diagram's type has the +-1 slot
 symmetries t[I o w] = s * t[I] of :func:`slot_symmetries`, derived from the
 projector pi as the pairs with w pi = s pi.  Such a signed slot group,
 a frozenset of (w, s) pairs, is what a symmetry tag holds
-(:func:`slot_group`), and :func:`group_orbits` splits the indices into its
-orbits, built on first use and cached per group: one canonical index per
-orbit, a signed copy for every other member, and the orbits on which the
-symmetries force a zero.  :func:`orbits` does so for a diagram's group;
+(:func:`slot_group`).  :func:`orbits` is the one place that splits the
+indices into orbits, for a diagram, a group or no tag, built on first use
+and cached per group: one canonical index per orbit, a signed copy for
+every other member, and the orbits on which the symmetries force a zero.
 :func:`lifted_group` and :func:`contracted_group` give the groups that
 survive a covariant derivative and a trace.  Storage stays dense;
 computation does not: ``slot_combination``, the signed sum of slot
 permutations to which every Young projection, Calabi operator and metric
 product reduces, evaluates each canonical index once and fills the orbit.
-An output without a declared symmetry has the trivial group,
-:func:`trivial_orbits`, and every index is evaluated.
+An output without a declared symmetry has the trivial group, so every
+index is its own orbit and is evaluated.
 """
 
 from __future__ import annotations
@@ -297,38 +297,29 @@ def contracted_group(group: frozenset, i: int, j: int) -> frozenset | None:
 
 
 @lru_cache(maxsize=None)
-def group_orbits(n: int, group: frozenset) -> SlotOrbits:
-    """The orbits of a signed slot group on n-dimensional indices.
+def orbits(n: int, k: int, symmetry=None) -> SlotOrbits:
+    """The orbits of the rank-k indices over n values under a symmetry tag
+    (a diagram, a signed slot group or None), built on first use and
+    cached.  A diagram and its group share one table, and None or the
+    trivial group makes every index its own orbit.
 
     A group that fixes slot 0, such as that of a covariant derivative, has
     the orbits of its action on the other slots once per value of slot 0;
     they are shifted, not scanned again."""
-    k = group_rank(group)
+    group = slot_group(symmetry)
+    if group is not symmetry:
+        return orbits(n, k, group)
+    if group is None:
+        return _build_orbits(n, k, ((tuple(range(k)), 1),))
     if not k or any(w[0] for w, _ in group):
         return _build_orbits(n, k, group)
-    inner = group_orbits(n, frozenset((tuple(t - 1 for t in w[1:]), s) for w, s in group))
+    inner = orbits(n, k - 1, frozenset((tuple(t - 1 for t in w[1:]), s) for w, s in group))
     shifts = [c * n ** (k - 1) for c in range(n)]
     return SlotOrbits(
         n, k,
         [s + flat for s in shifts for flat in inner.canonical],
         [(s + flat, s + canon, sign) for s in shifts for flat, canon, sign in inner.fill],
         [s + flat for s in shifts for flat in inner.zeros])
-
-
-def orbits(n: int, diagram: YoungDiagram) -> SlotOrbits:
-    """The slot-symmetry orbits of ``diagram`` on n-dimensional indices."""
-    return group_orbits(n, slot_symmetries(diagram))
-
-
-@lru_cache(maxsize=None)
-def trivial_orbits(n: int, k: int) -> SlotOrbits:
-    """Every rank-k index is its own orbit: the group of an untagged tensor."""
-    return _build_orbits(n, k, ((tuple(range(k)), 1),))
-
-
-def _index_table(n: int, k: int, perm: tuple) -> array:
-    """table[target_flat] = source_flat with source digits i_{perm[t]}."""
-    return trivial_orbits(n, k).sources(perm)
 
 
 def _slot_perms(k: int, slots, signed: bool):
@@ -375,8 +366,7 @@ def slot_combination(comps, n: int, k: int, terms, zero,
     """
     if diagram is not None and diagram.cells != k:
         raise ValueError(f"a rank-{k} output cannot have the symmetry of {diagram}")
-    group = slot_group(diagram)
-    orb = trivial_orbits(n, k) if group is None else group_orbits(n, group)
+    orb = orbits(n, k, diagram)
     return orb.fill_from(_pull(comps, orb, terms, zero), zero)
 
 
@@ -407,13 +397,13 @@ def project_components(comps, n: int, diagram: YoungDiagram, zero):
     """Apply the idempotent symmetry projector to a dense component array.
 
     The projector's group-algebra form is pulled with integer coefficients
-    at the canonical indices of ``orbits(n, diagram)``, each result is
+    at the canonical indices of ``orbits(n, k, diagram)``, each result is
     divided by the product of hook lengths once, and the orbits are filled.
     """
     k = diagram.cells
     if len(comps) != n ** k:
         raise ValueError(f"expected {n ** k} components for {diagram}")
-    orb = orbits(n, diagram)
+    orb = orbits(n, k, diagram)
     _, scale = _ring_ops(zero)
     c = Fraction(1, diagram.hook_product())
     values = [scale(v, c) for v in _pull(comps, orb, _projector_terms(diagram), zero)]
@@ -430,13 +420,14 @@ def young_projector(diagram: YoungDiagram, n: int) -> MatrixQ:
     """Sparse rational matrix of the projector on (Q^n)^{tensor k}.
 
     Built from the integer group-algebra form hooks * pi = sum c_w P_w: each
-    permutation adds c_w to row I at the column of the index I o w read off
-    ``_index_table``, and the rows are divided by the hook product once.
+    permutation adds c_w to row I at the column of the index I o w, read off
+    the untagged ``orbits(n, k)``, and the rows are divided by the hook
+    product once.
     """
     k = diagram.cells
     rows: list[dict] = [{} for _ in range(n ** k)]
     for w, c in _projector_terms(diagram):
-        for row, j in zip(rows, _index_table(n, k, w)):
+        for row, j in zip(rows, orbits(n, k).sources(w)):
             row[j] = row.get(j, 0) + c
     return MatrixQ._trusted(n ** k, n ** k, ({j: c for j, c in row.items() if c} for row in rows)
                             ).scale(Fraction(1, diagram.hook_product()))

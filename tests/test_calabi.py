@@ -121,6 +121,15 @@ def test_identity_battery_small_corpus():
         assert report.all_passed, report.failures()
 
 
+def test_battery_without_cases_or_degree_is_refused():
+    # a run with zero checks is not a pass
+    chart = minkowski(4)
+    with pytest.raises(CalabiError, match="cases must be >= 1"):
+        verify_calabi_identities(chart, cases=0)
+    with pytest.raises(CalabiError, match="degree bound must be >= 1"):
+        verify_calabi_identities(chart, degree_bound=0, cases=1)
+
+
 def test_zero_fields_satisfy_all_identities():
     ds = de_sitter(4, 1)
     for level in range(5):
@@ -455,12 +464,17 @@ def test_tagged_evaluation_equals_dense_evaluation(chart, monkeypatch):
         raw = [random_polynomial(rng, n, 2) for _ in range(n ** diagram.cells)]
         assert (project_components(raw, n, diagram, chart.zero)
                 == _dense_projection(raw, n, diagram, chart.zero))
+        # every operator output is tagged by construction with its level's
+        # group, and equals the output for the untagged field
         f, g = CalabiField(level, t), CalabiField(level, dense)
+        outputs = [(calabi_wave(f), calabi_wave(g))]
         if level < 4:
-            assert calabi_diff(f) == calabi_diff(g)
+            outputs.append((calabi_diff(f), calabi_diff(g)))
         if level:
-            assert calabi_homotopy(f) == calabi_homotopy(g)
-        assert calabi_wave(f) == calabi_wave(g)
+            outputs.append((calabi_homotopy(f), calabi_homotopy(g)))
+        for tagged_out, dense_out in outputs:
+            assert tagged_out.field.symmetry == slot_group(CALABI_DIAGRAMS[tagged_out.level])
+            assert tagged_out == dense_out
 
     # every pattern sum with a declared diagram that the operators evaluate,
     # against the same sum evaluated at every index

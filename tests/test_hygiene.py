@@ -1,7 +1,11 @@
 """Source hygiene: every module-level import of a package module is used,
-and no package module imports a private name from a sibling module."""
+no package module imports a private name from a sibling module, and every
+name the benchmark's tracer wraps exists."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "causalcoh"
@@ -94,3 +98,16 @@ def test_private_import_detector_sees_what_it_should(tmp_path):
         "    return table\n")
     assert private_sibling_imports(probe) == ["probe.py:2: _flat",
                                               "probe.py:5: _index_table"]
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # bench/layers.py wraps functions and methods by module and name, so a
+    # rename that every other test accepts stops `bench/run.py --trace 1`
+    # with an AttributeError; install() mutates the modules, hence a subprocess
+    root = SRC.parent.parent
+    path = [str(root / "src"), str(root / "bench"), os.environ.get("PYTHONPATH", "")]
+    result = subprocess.run(
+        [sys.executable, "-c", "from layers import Tracer; Tracer().install()"],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
+        capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

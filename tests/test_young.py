@@ -113,10 +113,10 @@ def test_rank_zero_type_at_small_n():
 
 
 def test_index_table_cached_and_compact():
-    from causalcoh.young import _index_table
+    from causalcoh.young import orbits
     perm = (1, 0, 2, 3)
-    table = _index_table(4, 4, perm)
-    assert _index_table(4, 4, perm) is table
+    table = orbits(4, 4).sources(perm)
+    assert orbits(4, 4).sources(perm) is table
     assert table.typecode == "H" and len(table) == 256
     # entry at target (a, b, c, d) is the source (b, a, c, d)
     assert all(table[((a * 4 + b) * 4 + c) * 4 + d] == ((b * 4 + a) * 4 + c) * 4 + d
@@ -192,19 +192,24 @@ def _flat(idx, n):
 
 def test_orbit_counts():
     from causalcoh.young import orbits
-    assert [len(orbits(4, CALABI_DIAGRAMS[l]).canonical) for l in range(5)] == [4, 10, 21, 24, 6]
-    assert [len(orbits(3, CALABI_DIAGRAMS[l]).canonical) for l in range(5)] == [3, 6, 6, 3, 0]
-    assert orbits(4, CALABI_DIAGRAMS[4]) is orbits(4, CALABI_DIAGRAMS[4])
+
+    def count(n, d):
+        return len(orbits(n, d.cells, d).canonical)
+
+    assert [count(4, CALABI_DIAGRAMS[l]) for l in range(5)] == [4, 10, 21, 24, 6]
+    assert [count(3, CALABI_DIAGRAMS[l]) for l in range(5)] == [3, 6, 6, 3, 0]
+    assert orbits(4, 6, CALABI_DIAGRAMS[4]) is orbits(4, 6, CALABI_DIAGRAMS[4])
 
 
 def test_orbit_counts_of_the_homotopy_intermediates():
     # the divergence trace_pair(nabla(b), 0, 1), tb = trace(b) and nabla(tb)
     # of the level-3 and level-4 homotopies at n = 4, against 256 and 1024
     # dense components
-    from causalcoh.young import contracted_group, group_orbits, lifted_group, slot_symmetries
+    from causalcoh.young import (contracted_group, group_rank, lifted_group, orbits,
+                                 slot_symmetries)
 
     def count(group):
-        return len(group_orbits(4, group).canonical)
+        return len(orbits(4, group_rank(group), group).canonical)
 
     for level, traced, expected in ((3, (2, 4), (36, 24, 96)), (4, (3, 5), (24, 16, 64))):
         group = slot_symmetries(CALABI_DIAGRAMS[level])
@@ -224,14 +229,14 @@ def test_slot_symmetries_are_column_antisymmetry_and_column_exchange(diagram):
 
 @pytest.mark.parametrize("diagram", ORBIT_DIAGRAMS, ids=lambda d: str(d.rows))
 def test_orbits_partition_the_indices(diagram):
-    from causalcoh.young import group_orbits, lifted_group, orbits, slot_symmetries
+    from causalcoh.young import lifted_group, orbits, slot_symmetries
     n = 3
-    assert orbits(n, diagram) is group_orbits(n, slot_symmetries(diagram))
+    assert orbits(n, diagram.cells, diagram) is orbits(n, diagram.cells, slot_symmetries(diagram))
     # the diagram's group, and the group of a covariant derivative, whose
     # orbits are those of the diagram shifted once per derivative index
     for group in (slot_symmetries(diagram), lifted_group(slot_symmetries(diagram))):
         k = len(next(iter(group))[0])
-        orb = group_orbits(n, group)
+        orb = orbits(n, k, group)
         members = list(orb.canonical) + [f for f, _, _ in orb.fill] + list(orb.zeros)
         assert sorted(members) == list(range(n ** k))
         # a zero orbit is exactly one whose stabiliser holds a -1
@@ -260,7 +265,7 @@ def test_projected_fraction_fields_have_the_orbit_symmetries(n, diagram):
     for idx in itertools.product(range(n), repeat=k):
         for w, s in group:
             assert t[_flat(_permuted(idx, w), n)] == s * t[_flat(idx, n)]
-    assert all(t[f] == 0 for f in orbits(n, diagram).zeros)
+    assert all(t[f] == 0 for f in orbits(n, k, diagram).zeros)
 
 
 @pytest.mark.parametrize("rows, n", [((1, 1), 3), ((2,), 3), ((2, 1), 3), ((2, 2), 3),

@@ -65,10 +65,10 @@ from .causal import CohomologyTable, SpacetimeModel, SupportClass, full_table, p
 from .charts import (Chart, ChartKind, christoffel_from_metric, de_sitter, lower_last_index,
                      minkowski, riemann_from_christoffel)
 from .linalg import sparse_rank
-from .polynomials import RationalFunction, monomial_shift
+from .polynomials import RationalFunction, monomial_key, monomial_shift
 from .simplicial import CohomologyProfile, preset_profile
-from .tensors import (TensorField, box_tensor, first_difference, metric_trace, nabla, odot,
-                      partial_tensor, pattern_sum, trace, trace_pair)
+from .tensors import (TensorField, box_tensor, first_difference, nabla, odot, partial_tensor,
+                      pattern_sum, trace, trace_pair)
 from .young import CALABI_DIAGRAMS, YoungDiagram, is_symmetric, project_components
 
 
@@ -260,7 +260,7 @@ def calabi_wave(f: CalabiField) -> CalabiField:
         out = boxed
         if k:
             coeff = Fraction(2 * k, n * (n - 1))
-            trh = metric_trace(t)
+            trh = trace(t, "h").comps[0]
             gtr = TensorField.metric(chart).scale(trh)
             out = out - t.scale(coeff) + gtr.scale(coeff)
         return CalabiField(1, out)
@@ -301,22 +301,67 @@ def random_polynomial(rng: random.Random, nvars: int, degree: int,
                       coeff_bound: int = 3, terms: int = 3) -> RationalFunction:
     """Up to ``terms`` monomials of degree <= ``degree`` with integer
     coefficients in [-coeff_bound, coeff_bound]; a draw over the degree
-    bound is skipped without drawing its coefficient."""
-    items = []
-    for _ in range(terms):
-        mono = [rng.randrange(degree + 1) for _ in range(nvars)]
-        if sum(mono) > degree:
-            continue
-        items.append((mono, rng.randrange(-coeff_bound, coeff_bound + 1)))
-    return RationalFunction.from_int_terms(nvars, items)
+    bound is skipped without drawing its coefficient.  The draws are those
+    of :func:`random_polynomials` with a count of 1."""
+    return random_polynomials(rng, nvars, degree, 1, coeff_bound, terms)[0]
+
+
+def random_polynomials(rng: random.Random, nvars: int, degree: int, count: int,
+                       coeff_bound: int = 3, terms: int = 3) -> list[RationalFunction]:
+    """``count`` polynomials drawn one after the other as by
+    :func:`random_polynomial`, in one loop.
+
+    Exact-stream contract: each exponent is ``rng.randrange(degree + 1)`` and
+    each coefficient ``rng.randrange(-coeff_bound, coeff_bound + 1)``, drawn
+    as CPython's ``random.Random`` draws them: ``getrandbits(w.bit_length())``
+    for a range of width w, repeated while the value is >= w.  So a seed
+    gives the same polynomials, and leaves ``rng`` in the same state, as
+    the ``randrange`` calls would; only their per-call overhead is gone.
+    (A ``random.Random`` subclass whose ``randrange`` does not go through
+    ``getrandbits`` gets other draws.)  Monomial keys are packed as the
+    exponents are drawn, so no exponent lists are built.
+    """
+    getrandbits = rng.getrandbits
+    width, coeff_width = degree + 1, 2 * coeff_bound + 1
+    bits, coeff_bits = width.bit_length(), coeff_width.bit_length()
+    one = monomial_key((0,) * nvars)
+    steps = [monomial_shift(nvars, [int(i == v) for v in range(nvars)]) for i in range(nvars)]
+    out = []
+    for _ in range(count):
+        poly: dict[int, int] = {}
+        for _ in range(terms):
+            key, total = one, 0
+            for step in steps:
+                e = getrandbits(bits)
+                while e >= width:
+                    e = getrandbits(bits)
+                key += e * step
+                total += e
+            if total > degree:
+                continue
+            c = getrandbits(coeff_bits)
+            while c >= coeff_width:
+                c = getrandbits(coeff_bits)
+            acc = poly.get(key, 0) + c - coeff_bound
+            if acc:
+                poly[key] = acc
+            else:
+                poly.pop(key, None)
+        out.append(RationalFunction.from_key_terms(nvars, poly))
+    return out
 
 
 def random_calabi_field(chart: Chart, level: int, rng: random.Random,
                         degree: int = 2) -> CalabiField:
-    """Young-projected random polynomial field of the given level."""
+    """Young-projected random polynomial field of the given level.
+
+    One polynomial is drawn per dense component, n^r of them, by
+    :func:`random_polynomials`, which keeps the exact ``randrange`` stream:
+    a seed gives the same field, bit for bit, and leaves ``rng`` in the
+    same state as n^r calls of :func:`random_polynomial`."""
     n = chart.n
     r = field_rank(level)
-    raw = [random_polynomial(rng, n, degree) for _ in range(n ** r)]
+    raw = random_polynomials(rng, n, degree, n ** r)
     if level == 0:
         return CalabiField(0, TensorField(chart, "l", raw, symmetry=CALABI_DIAGRAMS[0]))
     comps = project_components(raw, n, CALABI_DIAGRAMS[level], chart.zero)
@@ -548,13 +593,14 @@ def _monomials_up_to(nvars: int, degree: int) -> list[tuple[int, ...]]:
     return sorted(e for e in product(range(degree + 1), repeat=nvars) if sum(e) <= degree)
 
 
-def killing_system(operator: str, chart: Chart, degree_bound: int) -> tuple[int, list[dict]]:
-    """The linear system of :func:`polynomial_solution_dimension`.
+def killing_system(operator: str, chart: Chart, degree_bound: int) -> list[dict]:
+    """The linear system of :func:`polynomial_solution_dimension`, as columns.
 
-    Returns the number of unknowns (one per upper-index component and
-    monomial of the ansatz) and the sparse integer rows: one dict
-    unknown -> coefficient per (output component, Laurent monomial), in
-    sorted row order.
+    Returns one sparse integer column per unknown (one per upper-index
+    component and monomial of the ansatz): a dict from (output component,
+    Laurent key) to its nonzero coefficient, empty for an unknown the
+    operator annihilates.  A matrix and its transpose have one rank, so the
+    columns are ranked as they are built: no rows are scattered or sorted.
 
     Both operators are linear and first order.  For the unit field E of a
     component (one upper-index entry, lowered with the metric) and a
@@ -592,8 +638,7 @@ def killing_system(operator: str, chart: Chart, degree_bound: int) -> tuple[int,
     shifts = [monomial_shift(n, m) for m in monos]
     unit_shifts = [monomial_shift(n, [int(c == v) for v in range(n)]) for c in range(n)]
     coords = [chart.coordinate(c) for c in range(n)]
-    rows: dict[tuple[int, int], dict] = {}
-    column = 0
+    columns = []
     for unit in units:
         op_e = apply_op(unit)
         parts = [op_e]
@@ -612,11 +657,8 @@ def killing_system(operator: str, chart: Chart, degree_bound: int) -> tuple[int,
                     s = shift - unit_shifts[c]
                     for pos, key, coeff in terms[c + 1]:
                         acc[pos, key + s] = acc.get((pos, key + s), 0) + mc * coeff
-            for row_key, coeff in acc.items():
-                if coeff:
-                    rows.setdefault(row_key, {})[column] = coeff
-            column += 1
-    return column, [rows[key] for key in sorted(rows)]
+            columns.append({row: coeff for row, coeff in acc.items() if coeff})
+    return columns
 
 
 def polynomial_solution_dimension(operator: str, chart: Chart,
@@ -626,12 +668,12 @@ def polynomial_solution_dimension(operator: str, chart: Chart,
     The ansatz has polynomial components of total degree <= degree_bound in
     the upper-index position, lowered with the chart metric before the
     operator is applied; the linear system (:func:`killing_system`) equates
-    every Laurent coefficient of every component to zero and is ranked by
-    sparse elimination.
+    every Laurent coefficient of every component to zero, and its columns
+    are ranked by sparse elimination.
     """
-    nunk, rows = killing_system(operator, chart, degree_bound)
+    columns = killing_system(operator, chart, degree_bound)
     return SolutionDimension(
-        operator=operator, dim=nunk - sparse_rank(rows), degree_bound=degree_bound,
+        operator=operator, dim=len(columns) - sparse_rank(columns), degree_bound=degree_bound,
         sufficient_degree=SUFFICIENT_DEGREE.get((chart.kind, operator)))
 
 

@@ -18,6 +18,14 @@ a Laurent polynomial, and the ring operations, derivatives and division
 by a monomial stay inside that ring.  There is no rational-function
 normalisation: the stored form is canonical, so equality is dict
 equality, and division by anything but a monomial raises ``ValueError``.
+
+The tensor kernels sum many products of scalars at one component, such as
+d_c T[J] - sum Gamma * T or sum g^{cc} * v.  :func:`sum_of_products`
+computes such a sum c_1 a_1 b_1 + c_2 a_2 b_2 + ... in one pass: every
+product is accumulated into one int term dict over the common denominator
+of all of them, and the result is reduced by one gcd pass.  A fold of
+``+`` and ``*`` would allocate two scalars, copy a dict and reduce once per
+term; the canonical form makes both routes give equal scalars.
 """
 
 from __future__ import annotations
@@ -40,6 +48,11 @@ def _one_key(nvars: int) -> int:
     if key is None:
         key = _ONE_KEYS[nvars] = sum(_OFFSET << (_SHIFT * i) for i in range(nvars))
     return key
+
+
+def monomial_key(exponents) -> int:
+    """The packed key of the monomial x^exponents in a ``terms`` dict."""
+    return _pack(exponents)
 
 
 def monomial_shift(nvars: int, exponents) -> int:
@@ -354,17 +367,9 @@ class RationalFunction:
         return cls(p, MultiPolynomial.constant(p.nvars, 1))
 
     @classmethod
-    def from_int_terms(cls, nvars: int, items) -> "RationalFunction":
-        """The Laurent polynomial sum c x^mono of (exponent tuple, int c)
-        pairs; repeated monomials are summed and zero sums dropped."""
-        terms: dict[int, int] = {}
-        for mono, c in items:
-            key = _pack(mono)
-            acc = terms.get(key, 0) + c
-            if acc:
-                terms[key] = acc
-            else:
-                terms.pop(key, None)
+    def from_key_terms(cls, nvars: int, terms: dict) -> "RationalFunction":
+        """The Laurent polynomial with the nonzero int coefficients ``terms``,
+        keyed by :func:`monomial_key`; the dict is kept, not copied."""
         return _rf(nvars, terms, 1)
 
     @classmethod
@@ -394,10 +399,10 @@ class RationalFunction:
         return self.d == 1
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = RationalFunction.constant(self.nvars, other)
         if not isinstance(other, RationalFunction):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = RationalFunction.constant(self.nvars, other)
         return self.d == other.d and self.nvars == other.nvars and self.terms == other.terms
 
     __hash__ = None
@@ -446,7 +451,11 @@ class RationalFunction:
                         self.d * abs(cb))
 
     def scale(self, c) -> "RationalFunction":
-        c = _coerce(c if isinstance(c, (int, Fraction)) else Fraction(c))
+        """c times the scalar, for an int or Fraction c (exact scalars only:
+        a float raises ``TypeError``)."""
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
+        c = _coerce(c)
         if not c:
             return _rf(self.nvars, {}, 1)
         if isinstance(c, int):
@@ -469,3 +478,41 @@ class RationalFunction:
         if self.d == 1:
             return repr(self.num)
         return f"({self.num!r}) / ({self.d})"
+
+
+def sum_of_products(nvars: int, products) -> RationalFunction:
+    """The scalar sum of c * a * b over the (c, a, b) triples of
+    ``products``: c an int, a and b scalars, and b None for the term c * a.
+
+    Every term is accumulated into one int term dict over the common
+    denominator of all the terms, and the result is reduced by one gcd
+    pass, so it equals the fold of ``+`` and ``*`` over the same terms.
+    No terms give zero; a single term 1 * a is ``a`` itself.
+    """
+    if not products:
+        return _rf(nvars, {}, 1)
+    if len(products) == 1:
+        c, a, b = products[0]
+        if c == 1 and b is None:
+            return a
+    dens = [a.d if b is None else a.d * b.d for _, a, b in products]
+    common = lcm(*dens)
+    one = _one_key(nvars)
+    out: dict[int, int] = {}
+    get = out.get
+    for (c, a, b), d in zip(products, dens):
+        f = c * (common // d)
+        if b is None:
+            for m, x in a.terms.items():
+                out[m] = get(m, 0) + f * x
+            continue
+        at, bt = a.terms, b.terms
+        if len(at) > len(bt):
+            at, bt = bt, at
+        for ma, x in at.items():
+            fx = f * x
+            ma -= one
+            for mb, y in bt.items():
+                m = ma + mb
+                out[m] = get(m, 0) + fx * y
+    return _reduced(nvars, {m: c for m, c in out.items() if c}, common)

@@ -44,7 +44,7 @@ from string import ascii_lowercase
 from typing import Callable, Sequence
 
 from .charts import Chart
-from .polynomials import RationalFunction
+from .polynomials import RationalFunction, sum_of_products
 from .young import (YoungDiagram, contracted_group, group_rank, lifted_group, orbits,
                     project_components, slot_combination, slot_group)
 
@@ -142,9 +142,12 @@ class TensorField:
         return self._pointwise(operator.neg, self.symmetry)
 
     def scale(self, c) -> "TensorField":
+        """c times the field, for an int, a Fraction or a chart scalar c
+        (exact scalars only: a float raises ``TypeError``)."""
         if isinstance(c, RationalFunction):
             return self._pointwise(lambda a: a * c, self.symmetry)
-        c = c if isinstance(c, Fraction) else Fraction(c)
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"expected int, Fraction or chart scalar, got {type(c).__name__}")
         return self._pointwise(lambda a: a.scale(c), self.symmetry)
 
     def _shared_symmetry(self, other: "TensorField") -> frozenset | None:
@@ -193,27 +196,28 @@ def _derivative_at(t: TensorField) -> Callable[[int], RationalFunction]:
     (nabla T)[c, J] = d_c T[J] - sum_i Gamma^d_{c J_i} T[J_i -> d]   (lower slots)
                               + sum_i Gamma^{J_i}_{c d} T[J_i -> d]  (upper slots)
 
-    summed over the nonzero symbols of :attr:`Chart.connection_pulls`; the
-    slots' place values and pull tables are looked up once per kernel.
+    summed over the nonzero symbols of :attr:`Chart.connection_pulls` by
+    one :func:`causalcoh.polynomials.sum_of_products`; the slots' place
+    values, pull tables and signs are looked up once per kernel.
     """
     chart = t.chart
     n = chart.n
     size = n ** t.rank
     src = t.comps
     lower, upper = chart.connection_pulls
-    slots = [(n ** (t.rank - 1 - slot), lower if v == LOWER else upper, v == LOWER)
+    slots = [(n ** (t.rank - 1 - slot), lower if v == LOWER else upper, -1 if v == LOWER else 1)
              for slot, v in enumerate(t.variance)]
 
     def at(flat: int) -> RationalFunction:
         c, j = divmod(flat, size)
-        v = src[j].derivative(c)
-        for block, pulls, is_lower in slots:
+        products = [(1, src[j].derivative(c), None)]
+        for block, pulls, sign in slots:
             digit = j // block % n
             for other, gamma in pulls.get((c, digit), ()):
                 u = src[j + (other - digit) * block]
-                if not u.is_zero():
-                    v = v - gamma * u if is_lower else v + gamma * u
-        return v
+                if u.terms:
+                    products.append((sign, gamma, u))
+        return sum_of_products(n, products)
 
     return at
 
@@ -251,12 +255,12 @@ def box_tensor(t: TensorField) -> TensorField:
     orb = orbits(n, t.rank, t.symmetry)
     values = []
     for j in orb.canonical:
-        total = chart.zero
+        products = []
         for offset, g in diagonal:
             v = second(offset + j)
-            if not v.is_zero():
-                total = total + g * v
-        values.append(total)
+            if v.terms:
+                products.append((1, g, v))
+        values.append(sum_of_products(n, products))
     return TensorField(chart, t.variance, orb.fill_from(values, chart.zero),
                        symmetry=t.symmetry)
 
@@ -286,23 +290,17 @@ def trace_pair(t: TensorField, i: int, j: int) -> TensorField:
     weights = [n ** (r - 1 - k) for k in range(r) if k not in (i, j)]
     step = n ** (r - 1 - i) + n ** (r - 1 - j)
     diagonal = [(a * step, g) for a, g in enumerate(chart.inverse_metric_diag) if not g.is_zero()]
+    comps = t.comps
     values = []
     for digits in orb.digits:
         base = sum(map(operator.mul, digits, weights))
-        total = chart.zero
+        products = []
         for offset, g in diagonal:
-            v = t.comps[base + offset]
-            if not v.is_zero():
-                total = total + g * v
-        values.append(total)
+            v = comps[base + offset]
+            if v.terms:
+                products.append((1, g, v))
+        values.append(sum_of_products(n, products))
     return TensorField(chart, new_var, orb.fill_from(values, chart.zero), symmetry=group)
-
-
-def metric_trace(t: TensorField) -> RationalFunction:
-    """g^{ab} T_ab for a rank-2 lower tensor."""
-    if t.variance != "ll":
-        raise TensorError("metric_trace expects a rank-2 lower tensor")
-    return trace_pair(t, 0, 1).comps[0]
 
 
 # -- signed sums of slot permutations -----------------------------------------

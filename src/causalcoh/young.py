@@ -36,11 +36,12 @@ import operator
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import permutations
 from math import factorial
 
 from .linalg import MatrixQ
+from .polynomials import RationalFunction, sum_of_products
 
 
 @dataclass(frozen=True)
@@ -169,7 +170,10 @@ class SlotOrbits:
     that give every other member of those orbits as a signed copy, and
     ``zeros`` the flat indices of the orbits whose stabiliser contains a
     -1 (those components vanish).  :meth:`fill_from` turns values at the
-    canonical indices into the dense component list.
+    canonical indices into the dense component list by one gather: a
+    cached array gives, per flat index, its position in the pool
+    ``values + [-values[i] for i in negated] + [zero]``, where ``negated``
+    lists once each canonical index that some member copies with sign -1.
     """
 
     def __init__(self, n: int, k: int, canonical, fill, zeros):
@@ -182,18 +186,27 @@ class SlotOrbits:
 
     def fill_from(self, values, zero) -> list:
         """Dense components from the ``values`` at the canonical indices."""
-        out = [zero] * (self.n ** self.k)
-        for flat, v in zip(self.canonical, values):
-            out[flat] = v
-        negated = {}
+        negated, gather = self._gather
+        pool = list(values)
+        pool += [-pool[i] for i in negated]
+        pool.append(zero)
+        return [pool[i] for i in gather]
+
+    @cached_property
+    def _gather(self) -> tuple[list[int], array]:
+        """The canonical positions that need a negation, and per flat index
+        its position in the pool of :meth:`fill_from`."""
+        position = {flat: i for i, flat in enumerate(self.canonical)}
+        negated = sorted({position[canon] for _, canon, sign in self.fill if sign < 0})
+        slot = {i: len(self.canonical) + j for j, i in enumerate(negated)}
+        pool_zero = len(self.canonical) + len(negated)
+        gather = [pool_zero] * (self.n ** self.k)
+        for flat, i in position.items():
+            gather[flat] = i
         for flat, canon, sign in self.fill:
-            v = out[canon]
-            if sign < 0:
-                v = negated.get(canon)
-                if v is None:
-                    v = negated[canon] = -out[canon]
-            out[flat] = v
-        return out
+            i = position[canon]
+            gather[flat] = i if sign > 0 else slot[i]
+        return negated, array("H" if pool_zero < 1 << 16 else "L", gather)
 
     def sources(self, perm: tuple) -> array:
         """entry i = flat index of I o perm, I the i-th canonical index."""
@@ -336,21 +349,16 @@ def _slot_perms(k: int, slots, signed: bool):
 
 def _pull(comps, orb: SlotOrbits, terms, zero) -> list:
     """sum of c * comps[I o perm] over the (perm, c) terms, c an int, at
-    each canonical index I of ``orb``."""
-    is_zero, scale = _ring_ops(zero)
-    acc = [zero] * len(orb.canonical)
+    each canonical index I of ``orb``: the nonzero terms of each index are
+    gathered and summed by the ring's combine function."""
+    is_zero, _, combine = _ring_ops(zero)
+    products = [[] for _ in orb.canonical]
     for perm, c in terms:
-        for i, src in enumerate(orb.sources(perm)):
+        for bucket, src in zip(products, orb.sources(perm)):
             v = comps[src]
-            if is_zero(v):
-                continue
-            if c == 1:
-                acc[i] = acc[i] + v
-            elif c == -1:
-                acc[i] = acc[i] - v
-            else:
-                acc[i] = acc[i] + scale(v, c)
-    return acc
+            if not is_zero(v):
+                bucket.append((c, v, None))
+    return [combine(p) if p else zero for p in products]
 
 
 def slot_combination(comps, n: int, k: int, terms, zero,
@@ -362,7 +370,7 @@ def slot_combination(comps, n: int, k: int, terms, zero,
     is evaluated at one canonical index per orbit and the rest of the orbit
     is filled with signed copies.  Without one every index is evaluated.
     ``zero`` is the ring's zero (a ``Fraction`` or a chart scalar) and fixes
-    the zero test and the integer scaling once per call.
+    the zero test and the sum of each index's terms once per call.
     """
     if diagram is not None and diagram.cells != k:
         raise ValueError(f"a rank-{k} output cannot have the symmetry of {diagram}")
@@ -378,11 +386,14 @@ def symmetrize_slots(comps, n: int, k: int, slots, signed: bool, zero):
 
 
 def _ring_ops(zero):
-    """The zero test and scaling of the ring whose zero is ``zero``."""
+    """The zero test, the scaling and the combine function of the ring whose
+    zero is ``zero``: combine maps a list of (c, v, None) terms, c an int,
+    to the sum of c * v (:func:`causalcoh.polynomials.sum_of_products` for
+    chart scalars)."""
     if isinstance(zero, Fraction):
-        return operator.not_, operator.mul
-    ring = type(zero)
-    return ring.is_zero, ring.scale
+        return operator.not_, operator.mul, lambda products: sum(
+            (c * v for c, v, _ in products), zero)
+    return RationalFunction.is_zero, RationalFunction.scale, partial(sum_of_products, zero.nvars)
 
 
 @lru_cache(maxsize=None)
@@ -404,7 +415,7 @@ def project_components(comps, n: int, diagram: YoungDiagram, zero):
     if len(comps) != n ** k:
         raise ValueError(f"expected {n ** k} components for {diagram}")
     orb = orbits(n, k, diagram)
-    _, scale = _ring_ops(zero)
+    _, scale, _ = _ring_ops(zero)
     c = Fraction(1, diagram.hook_product())
     values = [scale(v, c) for v in _pull(comps, orb, _projector_terms(diagram), zero)]
     return orb.fill_from(values, zero)

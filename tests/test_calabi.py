@@ -18,7 +18,7 @@ from causalcoh.calabi import (CALABI_BACKGROUNDS, CalabiError, CalabiField,
                               calabi_wave, killing_operator, killing_system,
                               killing_yano_operator, linearization_relation_holds, linearized_riemann,
                               polynomial_solution_dimension, random_calabi_field, random_polynomial,
-                              verify_calabi_identities, _fields_equal)
+                              random_polynomials, verify_calabi_identities, _fields_equal)
 import causalcoh.calabi as calabi_module
 import causalcoh.tensors as tensors_module
 from causalcoh.causal import (SOLUTION_SUPPORTS, SpacetimeModel, SupportClass, full_table,
@@ -27,8 +27,8 @@ from causalcoh.charts import curvature, de_sitter, minkowski
 from causalcoh.linalg import MatrixQ, sparse_rank
 from causalcoh.polynomials import MultiPolynomial, RationalFunction
 from causalcoh.simplicial import preset_profile
-from causalcoh.tensors import (TensorField, box_tensor, metric_trace, nabla, odot, pattern_sum,
-                               project, trace, trace_pair)
+from causalcoh.tensors import (TensorField, box_tensor, nabla, odot, pattern_sum, project, trace,
+                               trace_pair)
 from causalcoh.young import (CALABI_DIAGRAMS, YoungDiagram, lifted_group, project_components,
                              slot_group, symmetrize_slots)
 from test_linalg import dense_rank
@@ -209,10 +209,12 @@ def test_solution_dimension_monotone_and_stable():
 @pytest.mark.parametrize("chart", [minkowski(4), de_sitter(4, 1)], ids=["flat", "dS"])
 def test_sparse_killing_rank_equals_dense_rank(chart, operator):
     for degree in (1, 2, 3):
-        nunk, rows = killing_system(operator, chart, degree)
-        assert all(isinstance(c, int) for row in rows for c in row.values())
-        dense = MatrixQ.from_rows([[row.get(i, 0) for i in range(nunk)] for row in rows])
-        assert sparse_rank(rows) == dense_rank(dense)
+        columns = killing_system(operator, chart, degree)
+        nunk = len(columns)
+        assert all(isinstance(c, int) for col in columns for c in col.values())
+        rows = sorted({key for col in columns for key in col})
+        dense = MatrixQ.from_rows([[col.get(key, 0) for col in columns] for key in rows])
+        assert sparse_rank(columns) == dense_rank(dense)
         assert polynomial_solution_dimension(operator, chart, degree).dim == nunk - dense_rank(dense)
 
 
@@ -223,11 +225,12 @@ def reference_killing_system(operator, chart, degree_bound):
     n = chart.n
     monos = sorted(e for e in product(range(degree_bound + 1), repeat=n)
                    if sum(e) <= degree_bound)
+    unit = lambda mono: RationalFunction.from_polynomial(MultiPolynomial.from_terms(n, [(mono, 1)]))
     fields = []
     if operator == "killing":
         for a in range(n):
             for mono in monos:
-                comp = RationalFunction.from_int_terms(n, [(mono, 1)])
+                comp = unit(mono)
                 fields.append(TensorField(chart, "l", [chart.metric_diag[c] * comp if c == a
                                                        else chart.zero for c in range(n)]))
         apply_op = lambda v: calabi_diff(CalabiField(0, v)).field
@@ -235,7 +238,7 @@ def reference_killing_system(operator, chart, degree_bound):
         for a in range(n):
             for b in range(a + 1, n):
                 for mono in monos:
-                    comp = RationalFunction.from_int_terms(n, [(mono, 1)])
+                    comp = unit(mono)
                     comps = [chart.zero] * (n * n)
                     val = chart.metric_diag[a] * chart.metric_diag[b] * comp
                     comps[a * n + b] = val
@@ -264,21 +267,20 @@ def test_killing_system_equals_the_unit_field_oracle(chart, operator):
     # the same unknowns and row keys, and each column a positive multiple of
     # the oracle's column
     for degree in range(5):
-        nunk, rows = killing_system(operator, chart, degree)
+        columns = killing_system(operator, chart, degree)
         ref_nunk, ref_rows = reference_killing_system(operator, chart, degree)
-        assert nunk == ref_nunk
-        keys = sorted(ref_rows)
-        assert len(rows) == len(keys)
-        columns, ref_columns = {}, {}
-        for key, row, ref_row in zip(keys, rows, (ref_rows[k] for k in keys)):
-            for i, c in row.items():
-                columns.setdefault(i, {})[key] = c
+        assert len(columns) == ref_nunk
+        assert {key for col in columns for key in col} == set(ref_rows)
+        ref_columns = {}
+        for key, ref_row in ref_rows.items():
             for i, c in ref_row.items():
                 ref_columns.setdefault(i, {})[key] = c
-        assert sorted(columns) == sorted(ref_columns)
-        for i, col in columns.items():
-            ref_col = ref_columns[i]
+        assert sorted(i for i, col in enumerate(columns) if col) == sorted(ref_columns)
+        for i, col in enumerate(columns):
+            ref_col = ref_columns.get(i, {})
             assert col.keys() == ref_col.keys()
+            if not col:
+                continue
             ratios = {Fraction(c, ref_col[key]) for key, c in col.items()}
             assert len(ratios) == 1 and ratios.pop() > 0
 
@@ -415,7 +417,37 @@ def test_random_polynomial_equals_the_general_constructor_route(nvars, degree, t
             p = random_polynomial(fast, nvars, degree, terms=terms)
             q = _general_route_random_polynomial(general, nvars, degree, terms=terms)
             assert p == q and p.d == 1 and all(p.terms.values())
-        assert fast.random() == general.random()  # the same number of draws
+        assert fast.getstate() == general.getstate()  # the same draws
+        assert fast.random() == general.random()
+
+
+@pytest.mark.parametrize("nvars, degree, terms", [(4, 2, 3), (3, 3, 5), (2, 1, 8), (4, 0, 3)])
+@pytest.mark.parametrize("count", [2, 7, 64])
+def test_random_polynomials_continue_one_stream(nvars, degree, terms, count):
+    # count > 1 draws the polynomials one after the other from one stream
+    for seed in range(10):
+        fast, general = random.Random(seed), random.Random(seed)
+        batch = random_polynomials(fast, nvars, degree, count, terms=terms)
+        assert len(batch) == count
+        for p in batch:
+            q = _general_route_random_polynomial(general, nvars, degree, terms=terms)
+            assert p == q and p.d == 1 and all(p.terms.values())
+        assert fast.getstate() == general.getstate()
+
+
+@pytest.mark.parametrize("chart", [minkowski(4), de_sitter(4, 1)], ids=["flat", "dS"])
+def test_random_calabi_field_equals_projected_general_draws(chart):
+    # one general-route draw per dense component, then the Young projection
+    n = chart.n
+    for seed in (0, 42):
+        fast, general = random.Random(seed), random.Random(seed)
+        for level in range(5):
+            f = random_calabi_field(chart, level, fast, 2)
+            raw = [_general_route_random_polynomial(general, n, 2)
+                   for _ in range(n ** CALABI_DIAGRAMS[level].cells)]
+            assert list(f.field.comps) == project_components(raw, n, CALABI_DIAGRAMS[level],
+                                                             chart.zero)
+            assert fast.getstate() == general.getstate()
 
 
 # -- tagged (orbit) evaluation against dense evaluation ------------------------

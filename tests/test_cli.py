@@ -134,6 +134,13 @@ REPORT_DIGESTS = {
         "051e2495bdab21d2f53598f4982fd7e67089d7c0d4da798052ae28036a2b3069",
     ("verify", "--suite", "young"):
         "d6279dceb54ef576a141e827f6f1592f2e26eafe2b84dfb4dec1ca7f0a399036",
+    # the calabi-dS4 benchmark job's own commands
+    ("verify", "--suite", "calabi", "--background", "deSitter4", "--cases", "2", "--seed", "1"):
+        "6cc620e74d70d509b7155c21dab6b4cdd6c8d413979eaab0999e5d4516ba7f63",
+    ("killing", "--background", "deSitter4", "--operator", "killing", "--degree", "3"):
+        "02322539c56a2925fffd880fa177c9c813bd8cdb46cb4018499640b03aff4a0c",
+    ("killing", "--background", "deSitter4", "--operator", "killingYano", "--degree", "4"):
+        "f9be0a4ec40df9fa0a6aa9cae9b55f34e5e475d702b4a6b3ad98b0469906c82b",
 }
 
 

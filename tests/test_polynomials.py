@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalcoh.polynomials import MultiPolynomial, RationalFunction
+from causalcoh.charts import de_sitter, minkowski
+from causalcoh.polynomials import MultiPolynomial, RationalFunction, sum_of_products
 
 
 def poly(nvars, *terms):
@@ -183,3 +186,75 @@ def test_rf_evaluation_consistent(a, b, u, rng):
     assert (a * b).evaluate(point) == pa * pb
     assert (a / u).evaluate(point) == pa / pu
     assert a.scale(Fraction(-5, 7)).evaluate(point) == pa * Fraction(-5, 7)
+
+
+# -- the fused sum of products against the fold of + and * ---------------------
+
+FUSED_CHARTS = [minkowski(4), de_sitter(4, 1), de_sitter(4, Fraction(2, 3))]
+
+
+def _fold(nvars, products):
+    """The sum of c * a * b through the ring's own + and *."""
+    total = RationalFunction.constant(nvars, 0)
+    for c, a, b in products:
+        total = total + (a if b is None else a * b).scale(c)
+    return total
+
+
+def _random_scalar(rng, chart):
+    """A chart scalar times a few monomials with exponents in [-1, 1] (so
+    products repeat monomials) and coefficients over non-unit denominators;
+    one in five is zero."""
+    n = chart.n
+    if rng.random() < 0.2:
+        return chart.zero
+    terms = [(tuple(rng.randint(-1, 1) for _ in range(n)),
+              Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 4, 6))))
+             for _ in range(rng.randint(1, 4))]
+    p = RationalFunction.from_polynomial(MultiPolynomial.from_terms(n, terms))
+    gammas = [g for pulls in chart.connection_pulls for entries in pulls.values()
+              for _, g in entries]
+    return p * rng.choice(chart.metric_diag + chart.inverse_metric_diag + tuple(gammas)
+                          + (chart.rf(1),))
+
+
+@pytest.mark.parametrize("chart", FUSED_CHARTS,
+                         ids=["minkowski4", "deSitter4", "deSitter4(H=2/3)"])
+def test_sum_of_products_equals_the_fold(chart):
+    rng = random.Random(19)
+    n = chart.n
+    assert any(v.d != 1 for v in (_random_scalar(rng, chart) for _ in range(20)))
+    for _ in range(150):
+        products = [(rng.randint(-3, 3), _random_scalar(rng, chart),
+                     None if rng.random() < 0.3 else _random_scalar(rng, chart))
+                    for _ in range(rng.randint(0, 6))]
+        fused, folded = sum_of_products(n, products), _fold(n, products)
+        assert fused == folded and fused.d == folded.d
+        assert fused.d > 0 and gcd(fused.d, *fused.terms.values()) == 1
+        assert all(isinstance(c, int) and c for c in fused.terms.values())
+        # full cancellation: the same terms with the opposite signs
+        cancelled = sum_of_products(n, products + [(-c, b if b is not None else a,
+                                                    a if b is not None else None)
+                                                   for c, a, b in products])
+        assert cancelled.terms == {} and cancelled.d == 1
+
+
+def test_sum_of_products_edge_cases():
+    chart = de_sitter(4, Fraction(2, 3))
+    zero, g = chart.zero, chart.metric_diag[0]
+    assert sum_of_products(4, []) == zero and sum_of_products(4, []).d == 1
+    assert sum_of_products(4, [(1, g, None)]) is g
+    assert sum_of_products(4, [(0, g, g), (5, zero, g), (2, g, zero)]).terms == {}
+    assert sum_of_products(4, [(2, g, None), (-1, g, None), (-1, g, None)]).d == 1
+    half = g.scale(Fraction(1, 2))
+    assert sum_of_products(4, [(1, half, None), (1, half, None)]) == g
+
+
+# -- exact scalars only ----------------------------------------------------------
+
+def test_scale_refuses_floats():
+    x = RationalFunction.variable(2, 0)
+    for bad in (0.1, 2.0, "2", complex(1, 0)):
+        with pytest.raises(TypeError, match=f"expected int or Fraction, got {type(bad).__name__}"):
+            x.scale(bad)
+    assert x.scale(True) == x and x.scale(Fraction(4, 2)).d == 1

@@ -6,9 +6,8 @@ import pytest
 
 from causalcoh.calabi import random_polynomial
 from causalcoh.charts import curvature, de_sitter, minkowski
-from causalcoh.tensors import (TensorError, TensorField, box_tensor, metric_trace, nabla,
-                               odot, partial_tensor, pattern_sum, trace,
-                               trace_pair)
+from causalcoh.tensors import (TensorError, TensorField, box_tensor, nabla, odot, partial_tensor,
+                               pattern_sum, trace, trace_pair)
 
 
 def rand_tensor(chart, variance, rng, degree=2):
@@ -94,7 +93,7 @@ def test_nabla_commutator_gives_curvature():
 
 def test_trace_of_metric():
     for chart in (minkowski(4), de_sitter(4, 1)):
-        assert metric_trace(TensorField.metric(chart)) == chart.rf(chart.n)
+        assert trace(TensorField.metric(chart), "h").comps[0] == chart.rf(chart.n)
 
 
 def test_odot_metric_metric():
@@ -201,3 +200,15 @@ def test_pattern_sum_validates_patterns():
     for bad in ("abd", "aab", "ab", "abcd"):
         with pytest.raises(TensorError):
             pattern_sum(t, {"abc": 1, bad: 1})
+
+
+def test_tensor_scale_takes_exact_scalars_only():
+    chart = de_sitter(4, 1)
+    t = rand_tensor(chart, "ll", random.Random(8))
+    assert t.scale(2) == t + t
+    assert t.scale(Fraction(1, 2)).scale(2) == t
+    x0 = chart.coordinate(0)
+    assert t.scale(x0).comps == tuple(c * x0 for c in t.comps)
+    for bad in (0.1, 1.0, "2"):
+        with pytest.raises(TypeError, match=f"got {type(bad).__name__}"):
+            t.scale(bad)

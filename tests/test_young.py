@@ -277,3 +277,56 @@ def test_project_components_matches_the_dense_projector_matrix(rows, n):
     p = young_projector(diagram, n)
     dense = [sum(p[i, j] * comps[j] for j in range(p.cols)) for i in range(p.rows)]
     assert project_components(comps, n, diagram, Fraction(0)) == dense
+
+
+def _fill_loop(orb, values, zero):
+    """The orbit fill as a loop over the (flat, canonical, sign) triples:
+    the oracle for the gather of ``SlotOrbits.fill_from``."""
+    out = [zero] * (orb.n ** orb.k)
+    for flat, v in zip(orb.canonical, values):
+        out[flat] = v
+    for flat, canon, sign in orb.fill:
+        out[flat] = out[canon] if sign > 0 else -out[canon]
+    return out
+
+
+def _operator_groups():
+    """Every symmetry the Calabi operators evaluate on at n = 4: the level
+    diagrams and the antisymmetric pair, their covariant derivatives, the
+    traces and divergences, and nabla of the traces."""
+    from causalcoh.young import contracted_group, lifted_group, slot_symmetries
+    groups = [None]
+    for diagram in [CALABI_DIAGRAMS[l] for l in range(5)] + [YoungDiagram((1, 1))]:
+        group = slot_symmetries(diagram)
+        groups += [diagram, group, lifted_group(group)]
+    for level, pair in ((2, (1, 3)), (3, (2, 4)), (4, (3, 5))):
+        group = slot_symmetries(CALABI_DIAGRAMS[level])
+        traced = contracted_group(group, *pair)
+        groups += [traced, contracted_group(lifted_group(group), 0, 1)]
+        if traced is not None:
+            groups.append(lifted_group(traced))
+    groups.append(contracted_group(slot_symmetries(YoungDiagram((1, 1))), 0, 1))
+    return groups
+
+
+def test_gather_fill_equals_the_fill_loop():
+    from causalcoh.young import group_rank, orbits
+    tables = []
+    for group in _operator_groups():
+        # the untagged table of the Killing-Yano operator's rank-3 output
+        k = 3 if group is None else (group.cells if isinstance(group, YoungDiagram)
+                                     else group_rank(group))
+        tables.append(orbits(4, k, group))
+    # zero orbits: at n = 3 the level-4 diagram forces every component to zero
+    tables += [orbits(3, 6, CALABI_DIAGRAMS[4]), orbits(3, 5, CALABI_DIAGRAMS[3])]
+    assert any(orb.zeros for orb in tables) and any(not orb.canonical for orb in tables)
+    assert any(sign < 0 for orb in tables for _, _, sign in orb.fill)
+    f0 = Fraction(0)
+    m = minkowski(4)
+    for orb in tables:
+        values = [Fraction(i + 1, 7) for i in range(len(orb.canonical))]
+        got = orb.fill_from(values, f0)
+        assert got == _fill_loop(orb, values, f0)
+        assert all(got[flat] is f0 for flat in orb.zeros)
+        scalars = [m.coordinate(i % 4).scale(i + 1) for i in range(len(orb.canonical))]
+        assert orb.fill_from(scalars, m.zero) == _fill_loop(orb, scalars, m.zero)

@@ -55,6 +55,12 @@ def _nonzero_components(maps: Mapping[int, MatrixQ], shape, what: str) -> dict:
     return out
 
 
+def _product(a: MatrixQ | None, b: MatrixQ | None) -> MatrixQ | None:
+    """``a * b``, or None when a factor is absent (zero): no product is
+    formed."""
+    return None if a is None or b is None else a * b
+
+
 class CochainComplex:
     """A bounded cochain complex of finite-dimensional rational spaces.
 
@@ -76,8 +82,9 @@ class CochainComplex:
         self._cohomology: dict[int, CohomologySpace] = {}  # filled by cohomology()
         self._diffs = _nonzero_components(diffs or {}, lambda p: (self.dim(p + 1), self.dim(p)),
                                           "differential")
-        for p in range(self.p_min - 1, self.p_max + 1):
-            if not (self.d(p + 1) * self.d(p)).is_zero():
+        # d∘d is zero where a factor is absent; multiply only the others
+        for p in sorted(self._diffs):
+            if p + 1 in self._diffs and not (self._diffs[p + 1] * self._diffs[p]).is_zero():
                 raise ComplexError(f"d∘d != 0 at degree {p}")
 
     def dim(self, p: int) -> int:
@@ -120,7 +127,10 @@ class CochainMap:
         lo = min(source.p_min, target.p_min)
         hi = max(source.p_max, target.p_max)
         for p in range(lo - 1, hi + 1):
-            if self.at(p + 1) * source.d(p) != target.d(p) * self.at(p):
+            zero = MatrixQ.zeros(target.dim(p + 1), source.dim(p))
+            left = _product(self._maps.get(p + 1), source._diffs.get(p)) or zero
+            right = _product(target._diffs.get(p), self._maps.get(p)) or zero
+            if left != right:
                 raise ComplexError(f"map does not commute with d at degree {p}")
 
     def at(self, p: int) -> MatrixQ:

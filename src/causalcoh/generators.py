@@ -5,7 +5,10 @@ so generated objects are reproducible across runs and platforms.  Random
 complexes are built from elementary pieces ("dots" contribute to
 cohomology, "arrows" are contractible) and then conjugated by random
 unimodular changes of basis, which keeps the expected cohomology known by
-construction and usable as an oracle.
+construction and usable as an oracle.  :func:`random_unimodular` builds
+each change of basis and its inverse together, from the same draws: every
+elementary row operation on the matrix is matched by the inverse column
+operation on the inverse, so no inverse is computed by elimination.
 """
 
 from __future__ import annotations
@@ -17,24 +20,51 @@ from .complexes import CochainComplex, CochainHomotopy, CochainMap, ShortExactSe
 from .linalg import MatrixQ
 
 
-def random_unimodular(rng: random.Random, size: int, steps: int | None = None) -> MatrixQ:
-    """Random integer matrix with determinant +-1 (product of elementary ops)."""
+def _int_matrix(rows: list[list[int]]) -> MatrixQ:
+    """The square matrix of dense int ``rows``, which are already in stored
+    form, without re-coercing each entry."""
+    return MatrixQ._trusted(len(rows), len(rows), (
+        {j: x for j, x in enumerate(row) if x} for row in rows))
+
+
+def random_unimodular(rng: random.Random, size: int,
+                      steps: int | None = None) -> tuple[MatrixQ, MatrixQ]:
+    """A random integer matrix with determinant +-1 and its inverse.
+
+    The matrix is a product of random elementary row operations applied to
+    the identity.  The inverse is built alongside, from the same draws: each
+    row operation E on the matrix is matched by the column operation E^-1 on
+    the inverse, so s * s^-1 = I holds after every step.
+    """
     m = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
+    inv = [row[:] for row in m]
     steps = 2 * size if steps is None else steps
     for _ in range(steps):
         op = rng.randrange(3)
         i = rng.randrange(size)
         j = rng.randrange(size)
         if op == 0 and i != j:
+            # row i += c row j; column j -= c column i
             c = rng.choice((-2, -1, 1, 2))
             for k in range(size):
                 m[i][k] += c * m[j][k]
+            for row in inv:
+                row[j] -= c * row[i]
         elif op == 1 and i != j:
+            # swap rows i and j; swap columns i and j
             m[i], m[j] = m[j], m[i]
+            for row in inv:
+                row[i], row[j] = row[j], row[i]
         elif op == 2:
+            # negate (or keep) row i; the same on column i
             c = rng.choice((-1, 1))
             m[i] = [c * x for x in m[i]]
-    return MatrixQ.from_rows(m)
+            for row in inv:
+                row[i] *= c
+    s, s_inv = _int_matrix(m), _int_matrix(inv)
+    if s * s_inv != MatrixQ.identity(size):
+        raise AssertionError("random_unimodular built a wrong inverse")
+    return s, s_inv
 
 
 @dataclass(frozen=True)
@@ -86,8 +116,9 @@ def _structured(rng: random.Random, n_degrees: int, max_dim: int,
         hmaps[p] = MatrixQ(dprv, dcur, mat)
     base = CochainComplex(dims, diffs)
     # conjugate by random unimodular changes of basis
-    s = {p: random_unimodular(rng, dims[p]) for p in degrees}
-    s_inv = {p: s[p].inverse() for p in degrees}
+    s, s_inv = {}, {}
+    for p in degrees:
+        s[p], s_inv[p] = random_unimodular(rng, dims[p])
     new_diffs = {p: s[p + 1] * base.d(p) * s_inv[p] for p in degrees[:-1]}
     cplx = CochainComplex(dims, new_diffs)
     new_h = {p: s[p - 1] * hmaps[p] * s_inv[p] for p in degrees[1:] if dims[p] and dims[p - 1]}
@@ -213,8 +244,9 @@ def subcomplex_of_contractible_seq(rng: random.Random, n_arrows: int = 3,
         if dims[p] and dims[p + 1]:
             diffs[p] = MatrixQ.from_rows(mat)
     b0 = CochainComplex(dims, diffs)
-    s = {p: random_unimodular(rng, dims[p]) for p in degrees}
-    s_inv = {p: s[p].inverse() for p in degrees}
+    s, s_inv = {}, {}
+    for p in degrees:
+        s[p], s_inv[p] = random_unimodular(rng, dims[p])
     b = CochainComplex(dims, {p: s[p + 1] * b0.d(p) * s_inv[p] for p in list(degrees)[:-1]})
     a_dims = {p: len(heads_at[p]) for p in degrees if heads_at[p]}
     a = CochainComplex(a_dims, {})

@@ -17,12 +17,22 @@ and :func:`sparse_rank` read; :meth:`MatrixQ.rref`, ``kernel_basis``,
 unique reduced row echelon form; and :func:`independent_columns` eliminates
 the columns of the large sparse coboundaries of triangulations.  Identical
 inputs yield bit-identical outputs.
+
+The elimination is fraction-free (Bareiss 1968): an echelon vector whose
+lead is not 1 is an int vector divided by the gcd of its entries, and
+reducing against it scales the reduced vector by an int instead of
+dividing by the lead, so integer inputs never create a Fraction.  A vector
+holding a Fraction is scaled to integers the first time it meets such a
+lead.  Vectors with leads +-1, such as the simplicial coboundaries, take
+the plain ``v - c * b`` step.  The rref divides each row by its pivot
+value once, at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from heapq import heapify, heappop, heappush
 from types import MappingProxyType
 from typing import Container, Iterable, Sequence
@@ -90,7 +100,8 @@ class MatrixQ:
 
     @classmethod
     def identity(cls, n: int) -> "MatrixQ":
-        return cls._trusted(n, n, map(_unit_row, range(n)))
+        """The n x n identity matrix, one shared instance per size."""
+        return _identity(n)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "MatrixQ":
@@ -180,13 +191,15 @@ class MatrixQ:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape()} * {other.shape()}")
+        if not (self.rows and self.cols and other.cols):
+            return _zeros(self.rows, other.cols)
         out = []
         for a in self._r:
             acc: dict = {}
             for k, x in a.items():
                 for j, y in other._r[k].items():
                     acc[j] = acc.get(j, 0) + x * y
-            out.append({j: q(v) for j, v in acc.items() if v})
+            out.append({j: v if type(v) is int else q(v) for j, v in acc.items() if v})
         return MatrixQ._trusted(self.rows, other.cols, out)
 
     def transpose(self) -> "MatrixQ":
@@ -278,6 +291,13 @@ def _zeros(rows: int, cols: int) -> MatrixQ:
     return MatrixQ(rows, cols)
 
 
+@lru_cache(maxsize=None)
+def _identity(n: int) -> MatrixQ:
+    if n < 0:
+        raise ValueError("matrix dimensions must be non-negative")
+    return MatrixQ._trusted(n, n, map(_unit_row, range(n)))
+
+
 def _column_dicts(m: MatrixQ) -> list[dict]:
     """The columns of ``m`` as new sparse dicts (row index -> value)."""
     cols: list[dict] = [{} for _ in range(m.cols)]
@@ -287,13 +307,55 @@ def _column_dicts(m: MatrixQ) -> list[dict]:
     return cols
 
 
+def _integral(v: dict) -> None:
+    """Scale ``v`` in place by the lcm of its denominators: every value
+    becomes an int, and the span of ``v`` stays the same."""
+    m = lcm(*(x.denominator for x in v.values()))
+    for j, x in v.items():
+        v[j] = x.numerator * (m // x.denominator)
+
+
+def _align(v: dict, i: int, lead: int):
+    """The multiple c of an int vector b with ``b[i] == lead`` such that
+    ``v - c * b`` is 0 at i, after scaling ``v`` in place by the least
+    positive int that makes one exist (``lead / gcd(lead, v[i])``).  A
+    Fraction at i makes ``v`` integral first."""
+    c = v[i]
+    if type(c) is not int:
+        _integral(v)
+        c = v[i]
+    g = gcd(lead, c)
+    if g != lead:
+        s = lead // g
+        for j, x in v.items():
+            v[j] = x * s
+    return c // g
+
+
+def _primitive(v: dict, i: int) -> dict:
+    """``v`` as an int vector divided by the gcd of its entries, signed so
+    that its value at the lead index ``i`` is positive."""
+    try:
+        g = gcd(*v.values())
+    except TypeError:  # a Fraction entry
+        _integral(v)
+        g = gcd(*v.values())
+    if v[i] < 0:
+        g = -g
+    return v if g == 1 else {j: x // g for j, x in v.items()}
+
+
 def _reduce_into(basis: dict[int, dict], v: dict) -> bool:
     """One sparse elimination step: reduce ``v`` against ``basis`` in place.
 
-    ``basis`` maps each pivot index to its vector (1 at the pivot, zero at
-    every other pivot below it); ``v`` maps indices to nonzero exact values
-    (ints or Fractions).  Returns True, after adding the normalized residual
-    to ``basis``, when ``v`` does not lie in the span of ``basis``.
+    ``basis`` maps each pivot index to its vector, which is zero at every
+    other pivot below it and has a positive int lead at the pivot: 1, or
+    the lead of an int vector whose entries have gcd 1.  ``v`` maps indices to nonzero exact
+    values (ints or Fractions).  Against a lead 1 the step is
+    ``v - c * b``; against any other lead it is fraction-free,
+    ``(lead / g) * v - (c / g) * b`` with ``g = gcd(lead, c)``, so integer
+    vectors stay integers.  Returns True, after adding the residual to
+    ``basis``, when ``v`` does not lie in the span of ``basis``.
     """
     heap = list(v)
     heapify(heap)
@@ -304,14 +366,18 @@ def _reduce_into(basis: dict[int, dict], v: dict) -> bool:
             continue
         b = basis.get(i)
         if b is None:
-            # i leads the residual: every index below it is eliminated
-            if c == 1:
+            # i leads the residual: every index below it is eliminated.  A
+            # Fraction lead, even one equal to +-1, goes through _primitive,
+            # so every stored lead is an int
+            if c == 1 and type(c) is int:
                 basis[i] = v
-            elif c == -1:
+            elif c == -1 and type(c) is int:
                 basis[i] = {j: -x for j, x in v.items()}
             else:
-                basis[i] = {j: Fraction(x) / c for j, x in v.items()}
+                basis[i] = _primitive(v, i)
             return True
+        if b[i] != 1:
+            c = _align(v, i, b[i])
         for j, x in b.items():
             y = v.get(j, 0) - c * x
             if y:
@@ -341,8 +407,10 @@ def _rref_rows(vectors: Iterable[dict]) -> list[tuple[int, dict]]:
     :func:`q`).  The vectors are reduced into an echelon basis by
     :func:`_reduce_into`, then back-substituted over the pivots in
     descending order, so every later pivot row is already reduced when it is
-    subtracted.  The reduced row echelon form is unique, so the rows do not
-    depend on the order of elimination.
+    subtracted.  Back-substitution is fraction-free like the elimination;
+    each row is divided by its pivot value once, at the end.  The reduced
+    row echelon form is unique, so the rows do not depend on the order of
+    elimination or on the scale of the basis.
     """
     basis: dict[int, dict] = {}
     for v in vectors:
@@ -353,14 +421,22 @@ def _rref_rows(vectors: Iterable[dict]) -> list[tuple[int, dict]]:
         # a reduced pivot row is 0 at every other pivot, so subtracting it
         # clears one pivot column of ``row`` and leaves the others alone
         for k in [k for k in row if k != p and k in basis]:
-            c = row[k]
-            for j, x in basis[k].items():
+            b = basis[k]
+            c = row[k] if b[k] == 1 else _align(row, k, b[k])
+            for j, x in b.items():
                 y = row.get(j, 0) - c * x
                 if y:
                     row[j] = y
                 else:
                     del row[j]
-    return [(p, {j: q(x) for j, x in basis[p].items()}) for p in pivots]
+    return [(p, _divided(basis[p], basis[p][p])) for p in pivots]
+
+
+def _divided(row: dict, lead) -> dict:
+    """``row / lead`` in stored form."""
+    if lead == 1:
+        return {j: q(x) for j, x in row.items()}
+    return {j: q(Fraction(x, lead)) for j, x in row.items()}
 
 
 def independent_columns(span: MatrixQ, candidates: MatrixQ) -> tuple[int, ...]:
@@ -374,7 +450,7 @@ def independent_columns(span: MatrixQ, candidates: MatrixQ) -> tuple[int, ...]:
     """
     if span.rows != candidates.rows:
         raise ValueError("row count mismatch")
-    basis: dict[int, dict] = {}  # pivot -> residual, 1 at the pivot
+    basis: dict[int, dict] = {}  # pivot -> residual
     for col in _column_dicts(span):
         _reduce_into(basis, col)
     return tuple(j for j, col in enumerate(_column_dicts(candidates))

@@ -62,12 +62,13 @@ def monomial_shift(nvars: int, exponents) -> int:
 
 
 def _coerce(c):
-    """Normalize a coefficient: ints stay ints, integral Fractions become ints."""
+    """Normalize a coefficient: ints stay ints, integral Fractions become ints.
+    Anything else, a float included, raises ``TypeError``."""
     if isinstance(c, int):
         return c
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
-    raise TypeError(f"expected int or Fraction coefficient, got {type(c).__name__}")
+    raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
 
 
 def _pack(exponents) -> int:
@@ -101,7 +102,7 @@ class MultiPolynomial:
 
     @classmethod
     def constant(cls, nvars: int, c) -> "MultiPolynomial":
-        c = _coerce(c if isinstance(c, (int, Fraction)) else Fraction(c))
+        c = _coerce(c)
         if not c:
             return cls(nvars, {})
         return cls(nvars, {_one_key(nvars): c})
@@ -117,7 +118,7 @@ class MultiPolynomial:
         """Build from (exponent tuple, coefficient) pairs."""
         terms = {}
         for mono, c in items:
-            c = _coerce(c if isinstance(c, (int, Fraction)) else Fraction(c))
+            c = _coerce(c)
             if not c:
                 continue
             key = _pack(mono)
@@ -186,7 +187,7 @@ class MultiPolynomial:
         return MultiPolynomial(self.nvars, _mul_terms(self.terms, other.terms, self.nvars))
 
     def scale(self, c) -> "MultiPolynomial":
-        c = _coerce(c if isinstance(c, (int, Fraction)) else Fraction(c))
+        c = _coerce(c)
         if not c:
             return MultiPolynomial(self.nvars, {})
         if isinstance(c, int):
@@ -453,8 +454,6 @@ class RationalFunction:
     def scale(self, c) -> "RationalFunction":
         """c times the scalar, for an int or Fraction c (exact scalars only:
         a float raises ``TypeError``)."""
-        if not isinstance(c, (int, Fraction)):
-            raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
         c = _coerce(c)
         if not c:
             return _rf(self.nvars, {}, 1)

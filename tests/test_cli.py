@@ -141,6 +141,12 @@ REPORT_DIGESTS = {
         "02322539c56a2925fffd880fa177c9c813bd8cdb46cb4018499640b03aff4a0c",
     ("killing", "--background", "deSitter4", "--operator", "killingYano", "--degree", "4"):
         "f9be0a4ec40df9fa0a6aa9cae9b55f34e5e475d702b4a6b3ad98b0469906c82b",
+    # the long exact sequences, induced maps and exactness audits, recorded
+    # before the elimination became fraction-free
+    ("verify", "--suite", "homology"):
+        "c97c5545ce376d7f828637e9779c13aac1ea915e0a193ff102c5b42db5b88303",
+    ("verify", "--suite", "homology", "--seed", "7", "--cases", "200"):
+        "f52268d27596e8f035f671d55e44cbad9b44f5fade23569c0dcbd62b7d185173",
 }
 
 

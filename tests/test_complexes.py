@@ -71,6 +71,18 @@ def test_non_commuting_map_reports_degree():
         CochainMap(c, c, {0: one, 1: one, 2: one, 3: one.scale(2)})
 
 
+def test_non_commuting_map_with_an_absent_factor_reports_degree():
+    # one side of f d = d f is a product, the other has an absent factor
+    one = MatrixQ.identity(1)
+    interval, pair = interval_complex(0), CochainComplex({0: 1, 1: 1})
+    CochainMap(interval, pair, {0: one})
+    CochainMap(pair, interval, {1: one})
+    with pytest.raises(ComplexError, match="does not commute with d at degree 0"):
+        CochainMap(interval, pair, {0: one, 1: one})  # f1 d = 1, d f0 = 0
+    with pytest.raises(ComplexError, match="does not commute with d at degree 0"):
+        CochainMap(pair, interval, {0: one, 1: one})  # f1 d = 0, d f0 = 1
+
+
 def test_point_complex_cohomology():
     c = point_complex(0)
     h = cohomology(c, 0)

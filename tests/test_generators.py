@@ -6,13 +6,45 @@ from causalcoh.generators import (invertible_null_homotopic_map, random_cochain_
                                   random_complex, random_contractible_complex,
                                   random_short_exact_seq, random_unimodular,
                                   subcomplex_of_contractible_seq)
+from causalcoh.linalg import MatrixQ
 
 
 def test_random_unimodular_invertible():
     rng = random.Random(0)
     for size in (0, 1, 3, 5):
-        m = random_unimodular(rng, size)
+        m, inv = random_unimodular(rng, size)
         assert m.is_invertible() or size == 0
+        assert m * inv == MatrixQ.identity(size) == inv * m
+
+
+def _unimodular_by_row_operations(rng: random.Random, size: int) -> MatrixQ:
+    """The matrix loop of ``random_unimodular`` as it was before the
+    generator built the inverse too: the oracle for its draws and matrix."""
+    m = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
+    for _ in range(2 * size):
+        op = rng.randrange(3)
+        i = rng.randrange(size)
+        j = rng.randrange(size)
+        if op == 0 and i != j:
+            c = rng.choice((-2, -1, 1, 2))
+            for k in range(size):
+                m[i][k] += c * m[j][k]
+        elif op == 1 and i != j:
+            m[i], m[j] = m[j], m[i]
+        elif op == 2:
+            c = rng.choice((-1, 1))
+            m[i] = [c * x for x in m[i]]
+    return MatrixQ.from_rows(m)
+
+
+def test_random_unimodular_builds_the_inverse_from_the_same_draws():
+    for size in range(7):
+        for seed in range(20):
+            rng, oracle = random.Random(seed), random.Random(seed)
+            m, inv = random_unimodular(rng, size)
+            assert m == _unimodular_by_row_operations(oracle, size)
+            assert rng.getstate() == oracle.getstate()
+            assert inv == m.inverse()
 
 
 def test_random_complex_cohomology_matches_construction():

@@ -133,6 +133,21 @@ def test_zero_matrices_are_shared_per_shape():
         MatrixQ.zeros(-1, 2)
 
 
+def test_identity_matrices_are_shared_per_size():
+    assert MatrixQ.identity(3) is MatrixQ.identity(3)
+    assert MatrixQ.identity(3) == mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert MatrixQ.identity(0).shape() == (0, 0)
+    with pytest.raises(ValueError):
+        MatrixQ.identity(-1)
+
+
+def test_products_with_a_zero_dimension_are_the_shared_zero_matrix():
+    a, b = mat([[1, 2]]), MatrixQ.zeros(2, 0)
+    assert a * b is MatrixQ.zeros(1, 0)
+    assert MatrixQ.zeros(3, 0) * MatrixQ.zeros(0, 2) is MatrixQ.zeros(3, 2)
+    assert MatrixQ.zeros(0, 1) * a is MatrixQ.zeros(0, 2)
+
+
 def test_pivots_skip_rows():
     # hand elimination: rows 0 and 1 are dependent, row 2 leads at column 0
     m = mat([[0, 1, 1], [0, 2, 2], [1, 0, 0]])
@@ -276,11 +291,31 @@ def _differential_cases():
     yield mat([[0, 2, 4], [0, 3, 6], [5, 0, 1]])
 
 
+def _growth_cases():
+    """Inputs whose pivots are not +-1 or whose entries grow under
+    fraction-free elimination."""
+    yield mat([[Fraction(1, i + j + 1) for j in range(7)] for i in range(7)])  # Hilbert
+    yield mat([[x ** k for k in range(6)] for x in (2, 3, 5, 7, 11, 13)])  # Vandermonde
+    rng = random.Random(1_000_000)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        entries = [[rng.choice((0, rng.randint(-10 ** 6, 10 ** 6))) for _ in range(cols)]
+                   for _ in range(rows)]
+        if rng.random() < 0.5 and rows > 1:
+            # a dependent row: a combination of two others with large weights
+            a, b = rng.sample(range(rows), 2)
+            u, v = rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6)
+            entries[rng.randrange(rows)] = [u * x + v * y for x, y in zip(entries[a], entries[b])]
+        yield mat(entries)
+
+
 def test_sparse_elimination_matches_dense_oracle():
     rng = random.Random(7)
     skip_rng = random.Random(13)
-    for m in _differential_cases():
+    for m in (*_differential_cases(), *_growth_cases()):
         assert m.rref() == dense_rref(m), m
+        assert _stored_entries_are_normal(m.rref()[0]), m
+        assert _stored_entries_are_normal(m.kernel_basis()), m
         assert m.rank() == dense_rank(m), m
         assert sparse_rank(m._r) == dense_rank(m), m
         assert m.pivots() == frozenset(dense_rref(m)[1]), m
@@ -290,7 +325,9 @@ def test_sparse_elimination_matches_dense_oracle():
         assert m.kernel_basis() == dense_kernel_basis(m), m
         for rhs in (m * _random_matrix(rng, m.cols, 2),  # consistent
                     _random_matrix(rng, m.rows, rng.randint(0, 3))):
-            assert m.solve(rhs) == dense_solve(m, rhs), (m, rhs)
+            sol = m.solve(rhs)
+            assert sol == dense_solve(m, rhs), (m, rhs)
+            assert sol is None or _stored_entries_are_normal(sol), (m, rhs)
         if m.rows == m.cols:
             want = dense_solve(m, MatrixQ.identity(m.rows))
             assert m.is_invertible() == (want is not None)
@@ -299,6 +336,30 @@ def test_sparse_elimination_matches_dense_oracle():
                     m.inverse()
             else:
                 assert m.inverse() == want
+                assert _stored_entries_are_normal(m.inverse()), m
+
+
+def test_sparse_rank_of_tuple_keyed_integer_columns():
+    # columns shaped like calabi.killing_system output: (component, Laurent
+    # key) -> nonzero int, ranked without building a matrix
+    rng = random.Random(596)
+    for _ in range(60):
+        keys = [(rng.randrange(16), (1 << 15) * rng.randint(1, 4) + rng.randrange(-3, 4))
+                for _ in range(rng.randint(1, 12))]
+        columns = []
+        for _ in range(rng.randint(0, 9)):
+            column = {}
+            for key in rng.sample(keys, rng.randint(0, len(keys))):
+                column[key] = rng.choice((1, -1, 2, -3, 6, 9, 45, -120, rng.randint(-10 ** 6, 10 ** 6)))
+            columns.append({key: x for key, x in column.items() if x})
+        if len(columns) > 2:
+            # a dependent column: c0 * 7 - c1 * 3
+            combo = {key: 7 * columns[0].get(key, 0) - 3 * columns[1].get(key, 0) for key in keys}
+            columns.append({key: x for key, x in combo.items() if x})
+        rows = sorted(set(keys))
+        dense_columns = MatrixQ.from_rows([[col.get(key, 0) for col in columns] for key in rows]) \
+            if columns else MatrixQ.zeros(len(rows), 0)
+        assert sparse_rank(columns) == dense_rank(dense_columns), columns
 
 
 # -- the sparse container against dense list-of-lists arithmetic ----------

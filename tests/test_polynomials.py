@@ -258,3 +258,21 @@ def test_scale_refuses_floats():
         with pytest.raises(TypeError, match=f"expected int or Fraction, got {type(bad).__name__}"):
             x.scale(bad)
     assert x.scale(True) == x and x.scale(Fraction(4, 2)).d == 1
+
+
+def test_constructors_refuse_floats():
+    # Fraction(0.1) would store 3602879701896397/36028797018963968
+    x = MultiPolynomial.variable(2, 0)
+    chart = de_sitter(4)
+    builds = {"MultiPolynomial.constant": lambda c: MultiPolynomial.constant(2, c),
+              "MultiPolynomial.from_terms": lambda c: MultiPolynomial.from_terms(2, [((1, 0), c)]),
+              "MultiPolynomial.scale": x.scale,
+              "RationalFunction.constant": lambda c: RationalFunction.constant(2, c),
+              "Chart.rf": chart.rf}
+    for name, build in builds.items():
+        for bad in (0.1, 2.0, "2", complex(1, 0)):
+            with pytest.raises(TypeError, match=f"expected int or Fraction, got {type(bad).__name__}"):
+                build(bad)
+        assert build(Fraction(4, 2)) == build(2), name
+    assert MultiPolynomial.constant(2, Fraction(1, 10)).constant_value() == Fraction(1, 10)
+    assert chart.rf(Fraction(4, 2)) == chart.rf(2) and chart.rf(True) == chart.one

@@ -24,7 +24,7 @@ from .calabi import (CalabiField, CalabiTable, calabi_diff, calabi_homotopy, cal
                      verify_calabi_identities)
 from .forms import box_de_rham, codifferential, exterior_derivative, hodge_star, wedge
 from .linalg import MatrixQ
-from .polynomials import MultiPolynomial, RationalFunction
+from .polynomials import RationalFunction
 from .simplicial import (CohomologyProfile, SimplicialComplex, betti, build_complex,
                          kunneth, preset_profile, profile_from_triangulation)
 from .tensors import TensorField, box_tensor, nabla, odot, project, trace

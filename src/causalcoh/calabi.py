@@ -290,7 +290,7 @@ def killing_operator(f: CalabiField) -> CalabiField:
     return calabi_diff(f)
 
 
-def killing_yano_operator(chart: Chart, w: TensorField) -> TensorField:
+def killing_yano_operator(w: TensorField) -> TensorField:
     """Y[w]_abc = nabla_a w_bc + nabla_b w_ac on an antisymmetric 2-tensor."""
     return pattern_sum(nabla(w), {"abc": 1, "bac": 1})
 
@@ -633,7 +633,7 @@ def killing_system(operator: str, chart: Chart, degree_bound: int) -> list[dict]
                 comps[a * n + b] = g[a] * g[b]
                 comps[b * n + a] = -comps[a * n + b]
                 units.append(TensorField(chart, "ll", comps, symmetry=_ANTISYMMETRIC))
-        apply_op = lambda w: killing_yano_operator(chart, w)
+        apply_op = killing_yano_operator
     monos = _monomials_up_to(n, degree_bound)
     shifts = [monomial_shift(n, m) for m in monos]
     unit_shifts = [monomial_shift(n, [int(c == v) for v in range(n)]) for c in range(n)]

@@ -178,11 +178,3 @@ def route_consistency(model: SpacetimeModel) -> AuditResult:
         if via_m_tc != via_sigma_tc:
             bad.append(f"tc route mismatch at p={p}: {via_m_tc} != {via_sigma_tc}")
     return AuditResult(ok=not bad, violations=tuple(bad))
-
-
-def euler_alternating_sum_check(model: SpacetimeModel) -> bool:
-    """Alternating sum of the sc row equals the alternating sum of slice h_c."""
-    lhs = sum((-1) ** p * restricted_dimension(model, SupportClass.SPACELIKE_COMPACT, p)
-              for p in range(0, model.n + 1))
-    rhs = sum((-1) ** p * model.sigma.h_c_at(p) for p in range(0, model.sigma.m + 1))
-    return lhs == rhs

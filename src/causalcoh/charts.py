@@ -4,14 +4,16 @@ Charts carry a metric g_ab = Omega^2 eta_ab with eta = diag(-1,+1,...,+1)
 and a conformal factor Omega that is 1 (flat), 1/(H x0) (positive constant
 curvature) or 1/(H x_{n-1}) (negative constant curvature).  Everything
 geometric -- Christoffel symbols, curvature, the inverse metric, the
-volume scalar -- is then a Laurent polynomial in the coordinates (see
-:mod:`causalcoh.polynomials`) and is computed exactly; the only division
-the charts need, by the conformal factor and its square, is division by a
-monomial.  The nonzero Christoffel symbols are also kept as the two pull
-tables of :attr:`Chart.connection_pulls`, built once per chart: for a
-derivative index and a slot value, the symbols that the covariant
-derivative of :mod:`causalcoh.tensors` reads for a lower and for an upper
-slot.
+volume scalar -- is then a Laurent polynomial in the coordinates, a
+:class:`causalcoh.polynomials.RationalFunction` like every other chart
+scalar, and is computed exactly.  The conformal factor is itself built in
+that ring, as the constant 1/H divided by the coordinate x_i, and the only
+division the charts need, by the conformal factor and its square, is
+division by a monomial.  The nonzero Christoffel symbols are also kept as
+the two pull tables of :attr:`Chart.connection_pulls`, built once per
+chart: for a derivative index and a slot value, the symbols that the
+covariant derivative of :mod:`causalcoh.tensors` reads for a lower and for
+an upper slot.
 
 :func:`curvature` computes the curvature from the Christoffel symbols and
 *verifies* it against the constant-curvature closed forms
@@ -33,7 +35,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
-from .polynomials import MultiPolynomial, RationalFunction
+from .polynomials import RationalFunction
 
 
 class ChartError(ValueError):
@@ -78,10 +80,6 @@ class Chart:
     def coordinate(self, i: int) -> RationalFunction:
         return RationalFunction.variable(self.n, i)
 
-    @property
-    def coordinates(self) -> tuple[str, ...]:
-        return tuple(f"x{i}" for i in range(self.n))
-
     @cached_property
     def eta(self) -> tuple[int, ...]:
         return (-1,) + (1,) * (self.n - 1)
@@ -89,13 +87,10 @@ class Chart:
     @cached_property
     def conformal_factor(self) -> RationalFunction:
         """Omega with g = Omega^2 eta: 1, or the monomial (1/H) x_i^-1."""
-        n = self.n
         if self.kind is ChartKind.MINKOWSKI:
             return self.one
-        axis = 0 if self.kind is ChartKind.DE_SITTER else n - 1
-        mono = tuple(-1 if i == axis else 0 for i in range(n))
-        return RationalFunction.from_polynomial(
-            MultiPolynomial.from_terms(n, [(mono, 1 / self.hubble)]))
+        axis = 0 if self.kind is ChartKind.DE_SITTER else self.n - 1
+        return self.rf(1 / self.hubble) / self.coordinate(axis)
 
     @cached_property
     def scalar_curvature(self) -> Fraction:

@@ -36,12 +36,12 @@ import operator
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from itertools import permutations
 from math import factorial
 
 from .linalg import MatrixQ
-from .polynomials import RationalFunction, sum_of_products
+from .polynomials import sum_of_products
 
 
 @dataclass(frozen=True)
@@ -350,15 +350,14 @@ def _slot_perms(k: int, slots, signed: bool):
 def _pull(comps, orb: SlotOrbits, terms, zero) -> list:
     """sum of c * comps[I o perm] over the (perm, c) terms, c an int, at
     each canonical index I of ``orb``: the nonzero terms of each index are
-    gathered and summed by the ring's combine function."""
-    is_zero, _, combine = _ring_ops(zero)
+    gathered and summed by one :func:`causalcoh.polynomials.sum_of_products`."""
     products = [[] for _ in orb.canonical]
     for perm, c in terms:
         for bucket, src in zip(products, orb.sources(perm)):
             v = comps[src]
-            if not is_zero(v):
+            if v.terms:
                 bucket.append((c, v, None))
-    return [combine(p) if p else zero for p in products]
+    return [sum_of_products(zero.nvars, p) if p else zero for p in products]
 
 
 def slot_combination(comps, n: int, k: int, terms, zero,
@@ -369,8 +368,7 @@ def slot_combination(comps, n: int, k: int, terms, zero,
     ``diagram`` the output is declared to have its slot symmetries: the sum
     is evaluated at one canonical index per orbit and the rest of the orbit
     is filled with signed copies.  Without one every index is evaluated.
-    ``zero`` is the ring's zero (a ``Fraction`` or a chart scalar) and fixes
-    the zero test and the sum of each index's terms once per call.
+    ``comps`` are chart scalars and ``zero`` is the chart's zero scalar.
     """
     if diagram is not None and diagram.cells != k:
         raise ValueError(f"a rank-{k} output cannot have the symmetry of {diagram}")
@@ -383,17 +381,6 @@ def symmetrize_slots(comps, n: int, k: int, slots, signed: bool, zero):
     if len(slots) < 2:
         return list(comps)
     return slot_combination(comps, n, k, _slot_perms(k, slots, signed), zero)
-
-
-def _ring_ops(zero):
-    """The zero test, the scaling and the combine function of the ring whose
-    zero is ``zero``: combine maps a list of (c, v, None) terms, c an int,
-    to the sum of c * v (:func:`causalcoh.polynomials.sum_of_products` for
-    chart scalars)."""
-    if isinstance(zero, Fraction):
-        return operator.not_, operator.mul, lambda products: sum(
-            (c * v for c, v, _ in products), zero)
-    return RationalFunction.is_zero, RationalFunction.scale, partial(sum_of_products, zero.nvars)
 
 
 @lru_cache(maxsize=None)
@@ -415,9 +402,8 @@ def project_components(comps, n: int, diagram: YoungDiagram, zero):
     if len(comps) != n ** k:
         raise ValueError(f"expected {n ** k} components for {diagram}")
     orb = orbits(n, k, diagram)
-    _, scale, _ = _ring_ops(zero)
     c = Fraction(1, diagram.hook_product())
-    values = [scale(v, c) for v in _pull(comps, orb, _projector_terms(diagram), zero)]
+    values = [v.scale(c) for v in _pull(comps, orb, _projector_terms(diagram), zero)]
     return orb.fill_from(values, zero)
 
 

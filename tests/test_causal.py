@@ -6,7 +6,6 @@ from causalcoh.causal import (
     CohomologyTable,
     SpacetimeModel,
     SupportClass,
-    euler_alternating_sum_check,
     full_table,
     pairing_audit,
     restricted_dimension,
@@ -115,12 +114,6 @@ def test_route_consistency_presets():
     for name, m in (("sphere", 3), ("torus", 3), ("euclidean", 3), ("sphere", 1)):
         model = SpacetimeModel(n=m + 1, sigma=preset_profile(name, m))
         assert route_consistency(model).ok
-
-
-def test_euler_alternating_sum():
-    for name, m in (("sphere", 3), ("torus", 3), ("euclidean", 3)):
-        model = SpacetimeModel(n=m + 1, sigma=preset_profile(name, m))
-        assert euler_alternating_sum_check(model)
 
 
 def test_compact_row_is_shifted_slice_compact():

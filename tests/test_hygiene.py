@@ -111,3 +111,39 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
         capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+# The name bench/layers.py wraps; only polynomials.py may bind it.
+BENCHMARK_ALIAS = "MultiPolynomial"
+
+
+def identifier_uses(path: Path, name: str) -> list[str]:
+    """Every line that reads, binds or imports ``name`` as an identifier
+    (a name, an attribute or an import); strings and comments do not count."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = {node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.Name) and node.id == name)
+             or (isinstance(node, ast.Attribute) and node.attr == name)
+             or (isinstance(node, ast.alias) and name in (node.name, node.asname))}
+    return [f"{path.name}:{line}" for line in sorted(lines)]
+
+
+def test_benchmark_alias_stays_out_of_the_api():
+    import causalcoh
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "polynomials.py")
+    modules += sorted(Path(__file__).resolve().parent.glob("*.py"))
+    assert modules
+    assert [entry for path in modules for entry in identifier_uses(path, BENCHMARK_ALIAS)] == []
+    assert BENCHMARK_ALIAS not in dir(causalcoh)
+
+
+def test_identifier_detector_sees_what_it_should(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from causalcoh.polynomials import MultiPolynomial\n"
+        "import causalcoh.polynomials as p\n"
+        "x = p.MultiPolynomial\n"
+        "y = 'MultiPolynomial'  # MultiPolynomial\n"
+        "MultiPolynomial = None\n")
+    assert identifier_uses(probe, BENCHMARK_ALIAS) == ["probe.py:1", "probe.py:3", "probe.py:5"]
+    assert identifier_uses(SRC / "polynomials.py", BENCHMARK_ALIAS) != []

@@ -7,19 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalcoh.charts import de_sitter, minkowski
-from causalcoh.polynomials import MultiPolynomial, RationalFunction, sum_of_products
+from causalcoh.polynomials import RationalFunction, monomial_key, sum_of_products
 
 
 def poly(nvars, *terms):
-    return MultiPolynomial.from_terms(nvars, terms)
+    """The scalar sum of c * x^mono over the (mono, c) terms."""
+    total = RationalFunction.constant(nvars, 0)
+    for mono, c in terms:
+        total = total + RationalFunction.from_key_terms(nvars, {monomial_key(mono): 1}).scale(c)
+    return total
 
 
 def test_constant_and_variable():
-    one = MultiPolynomial.constant(2, 1)
-    x = MultiPolynomial.variable(2, 0)
-    assert one.is_constant() and one.constant_value() == 1
-    assert not x.is_constant()
-    assert (x * x).total_degree() == 2
+    one = RationalFunction.constant(2, 1)
+    x = RationalFunction.variable(2, 0)
+    assert one == 1 and one.terms == {monomial_key((0, 0)): 1} and one.d == 1
+    assert x.terms == {monomial_key((1, 0)): 1} and x.d == 1
+    assert (x * x).terms == {monomial_key((2, 0)): 1}
+    with pytest.raises(ValueError):
+        RationalFunction.variable(2, 2)
 
 
 def test_zero_coefficients_dropped():
@@ -28,8 +34,8 @@ def test_zero_coefficients_dropped():
 
 
 def test_mul_example():
-    x = MultiPolynomial.variable(1, 0)
-    one = MultiPolynomial.constant(1, 1)
+    x = RationalFunction.variable(1, 0)
+    one = RationalFunction.constant(1, 1)
     p = (x + one) * (x - one)
     assert p == poly(1, ((2,), 1), ((0,), -1))
 
@@ -46,32 +52,22 @@ def test_evaluate():
     assert p.evaluate((Fraction(3), Fraction(4))) == 11
 
 
-def test_power():
-    x = MultiPolynomial.variable(1, 0)
-    one = MultiPolynomial.constant(1, 1)
-    assert (x + one) ** 3 == poly(1, ((3,), 1), ((2,), 3), ((1,), 3), ((0,), 1))
-    assert (x ** 0) == one
-    with pytest.raises(ValueError):
-        x ** -1
-
-
 def test_rf_normalization_cancels_monomials():
     # a monomial denominator cancels into negative exponents: x0^2 / x0^3 = x0^-1
-    x0 = MultiPolynomial.variable(2, 0)
-    r = RationalFunction(x0 * x0, x0 * x0 * x0)
-    assert r.num == poly(2, ((-1, 0), 1)) and r.d == 1
+    x0 = RationalFunction.variable(2, 0)
+    r = (x0 * x0) / (x0 * x0 * x0)
+    assert r.terms == {monomial_key((-1, 0)): 1} and r.d == 1
     assert repr(r) == "x0^-1"
     assert r * RationalFunction.variable(2, 0) == 1
 
 
 def test_rf_fraction_coefficients_move_to_denominator():
-    half_x = poly(1, ((1,), Fraction(1, 2)))
-    r = RationalFunction.from_polynomial(half_x)
-    assert all(isinstance(c, int) for c in r.num.terms.values())
-    assert r.den.constant_value() == 2
+    r = poly(1, ((1,), Fraction(1, 2)))
+    assert all(isinstance(c, int) for c in r.terms.values())
+    assert r.d == 2
     # one denominator for all terms, reduced against every coefficient
-    r = RationalFunction.from_polynomial(poly(1, ((1,), Fraction(1, 6)), ((0,), Fraction(2, 3))))
-    assert r.num == poly(1, ((1,), 1), ((0,), 4)) and r.d == 6
+    r = poly(1, ((1,), Fraction(1, 6)), ((0,), Fraction(2, 3)))
+    assert r.terms == poly(1, ((1,), 1), ((0,), 4)).terms and r.d == 6
     assert (r + r).d == 3 and (r.scale(6)).d == 1
 
 
@@ -81,7 +77,7 @@ def test_rf_non_monomial_divisor_rejected():
     with pytest.raises(ValueError):
         one / (x + one)
     with pytest.raises(ValueError):
-        RationalFunction(MultiPolynomial.constant(1, 1), poly(1, ((1,), 1), ((0,), -1)))
+        one / poly(1, ((1,), 1), ((0,), -1))
     # exact division by monomials, negative and fractional coefficients included
     assert (x * x + x) / x == x + one
     assert one / (x.scale(Fraction(-2, 3))) == (one / x).scale(Fraction(-3, 2))
@@ -104,24 +100,22 @@ def test_rf_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         one / zero
     with pytest.raises(ZeroDivisionError):
-        RationalFunction(one.num, zero.num)
+        RationalFunction.variable(1, 0) / zero
 
 
 def test_rf_scale_keeps_int_coefficients():
     x = RationalFunction.variable(3, 1)
     r = x.scale(Fraction(2, 3))
-    assert all(isinstance(c, int) for c in r.num.terms.values())
-    assert all(isinstance(c, int) for c in r.den.terms.values())
-    assert r == RationalFunction(
-        MultiPolynomial.from_terms(3, [((0, 1, 0), 2)]),
-        MultiPolynomial.constant(3, 3))
+    assert all(isinstance(c, int) for c in r.terms.values())
+    assert isinstance(r.d, int)
+    assert r == poly(3, ((0, 1, 0), 2)) / RationalFunction.constant(3, 3)
     assert r.scale(Fraction(3, 2)) == x and r.scale(3).d == 1
 
 
 small_polys = st.lists(
     st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2)),
               st.integers(-4, 4)),
-    min_size=0, max_size=4).map(lambda ts: MultiPolynomial.from_terms(2, ts))
+    min_size=0, max_size=4).map(lambda ts: poly(2, *ts))
 
 
 @settings(max_examples=80, derandomize=True)
@@ -146,13 +140,12 @@ def test_derivative_leibniz(a, b):
 laurent_polys = st.lists(
     st.tuples(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
               st.fractions(min_value=-3, max_value=3, max_denominator=4)),
-    min_size=0, max_size=4).map(
-        lambda ts: RationalFunction.from_polynomial(MultiPolynomial.from_terms(2, ts)))
+    min_size=0, max_size=4).map(lambda ts: poly(2, *ts))
 
 laurent_monomials = st.tuples(
     st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
     st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)).map(
-        lambda t: RationalFunction.from_polynomial(MultiPolynomial.from_terms(2, [t])))
+        lambda t: poly(2, t))
 
 
 @settings(max_examples=60, derandomize=True)
@@ -211,7 +204,7 @@ def _random_scalar(rng, chart):
     terms = [(tuple(rng.randint(-1, 1) for _ in range(n)),
               Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 4, 6))))
              for _ in range(rng.randint(1, 4))]
-    p = RationalFunction.from_polynomial(MultiPolynomial.from_terms(n, terms))
+    p = poly(n, *terms)
     gammas = [g for pulls in chart.connection_pulls for entries in pulls.values()
               for _, g in entries]
     return p * rng.choice(chart.metric_diag + chart.inverse_metric_diag + tuple(gammas)
@@ -262,11 +255,9 @@ def test_scale_refuses_floats():
 
 def test_constructors_refuse_floats():
     # Fraction(0.1) would store 3602879701896397/36028797018963968
-    x = MultiPolynomial.variable(2, 0)
+    x = RationalFunction.variable(2, 0)
     chart = de_sitter(4)
-    builds = {"MultiPolynomial.constant": lambda c: MultiPolynomial.constant(2, c),
-              "MultiPolynomial.from_terms": lambda c: MultiPolynomial.from_terms(2, [((1, 0), c)]),
-              "MultiPolynomial.scale": x.scale,
+    builds = {"RationalFunction.scale": x.scale,
               "RationalFunction.constant": lambda c: RationalFunction.constant(2, c),
               "Chart.rf": chart.rf}
     for name, build in builds.items():
@@ -274,5 +265,18 @@ def test_constructors_refuse_floats():
             with pytest.raises(TypeError, match=f"expected int or Fraction, got {type(bad).__name__}"):
                 build(bad)
         assert build(Fraction(4, 2)) == build(2), name
-    assert MultiPolynomial.constant(2, Fraction(1, 10)).constant_value() == Fraction(1, 10)
+    tenth = RationalFunction.constant(2, Fraction(1, 10))
+    assert tenth.terms == {monomial_key((0, 0)): 1} and tenth.d == 10
     assert chart.rf(Fraction(4, 2)) == chart.rf(2) and chart.rf(True) == chart.one
+
+
+# -- repr: failure details quote it ------------------------------------------------
+
+def test_repr_is_pinned():
+    x0, x1 = RationalFunction.variable(2, 0), RationalFunction.variable(2, 1)
+    one = RationalFunction.constant(2, 1)
+    assert repr(RationalFunction.constant(2, 0)) == "0"
+    assert repr(RationalFunction.constant(2, Fraction(-2, 3))) == "(-2) / (3)"
+    assert repr(one / x0) == "x0^-1"
+    assert repr((x0 * x0 + x1.scale(3)).scale(Fraction(1, 2))) == "(x0^2 + 3*x1) / (2)"
+    assert repr((x0 * x1 - x1.scale(2) / (x0 * x0)).scale(-1)) == "-1*x0*x1 + 2*x0^-2*x1"

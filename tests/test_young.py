@@ -70,12 +70,12 @@ def test_antisymmetrizer_and_symmetrizer_ranks():
 def test_projection_idempotent_on_components():
     rng = random.Random(3)
     d = CALABI_DIAGRAMS[2]
-    f0 = Fraction(0)
-    comps = [Fraction(rng.randrange(-5, 6)) for _ in range(3 ** 4)]
-    once = project_components(comps, 3, d, f0)
-    twice = project_components(once, 3, d, f0)
-    assert once == twice
-    assert is_symmetric(once, 3, d, f0)
+    m = minkowski(3)
+    comps = [m.rf(rng.randrange(-5, 6)) for _ in range(3 ** 4)]
+    once = project_components(comps, 3, d, m.zero)
+    twice = project_components(once, 3, d, m.zero)
+    assert once == twice and once != comps
+    assert is_symmetric(once, 3, d, m.zero)
 
 
 def test_metric_product_has_riemann_symmetry():
@@ -107,9 +107,10 @@ def test_rank_zero_type_at_small_n():
     d = CALABI_DIAGRAMS[4]  # first column has length 4
     assert hook_rank(d, 3) == 0
     rng = random.Random(2)
-    comps = [Fraction(rng.randrange(-3, 4)) for _ in range(3 ** 6)]
-    projected = project_components(comps, 3, d, Fraction(0))
-    assert all(c == 0 for c in projected)
+    m = minkowski(3)
+    comps = [m.rf(rng.randrange(-3, 4)) for _ in range(3 ** 6)]
+    projected = project_components(comps, 3, d, m.zero)
+    assert all(c.is_zero() for c in projected)
 
 
 def test_index_table_cached_and_compact():
@@ -127,9 +128,10 @@ def test_slot_combination_on_fractions_matches_direct_lookups():
     from causalcoh.young import slot_combination
     rng = random.Random(4)
     n, k = 3, 4
-    comps = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)) for _ in range(n ** k)]
+    values = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)) for _ in range(n ** k)]
+    m = minkowski(n)
     terms = [((0, 1, 2, 3), 1), ((1, 2, 0, 3), -1), ((3, 2, 1, 0), 2)]
-    out = slot_combination(comps, n, k, terms, Fraction(0))
+    out = slot_combination([m.rf(v) for v in values], n, k, terms, m.zero)
 
     def flat(idx):
         f = 0
@@ -138,8 +140,8 @@ def test_slot_combination_on_fractions_matches_direct_lookups():
         return f
 
     for flat_idx, idx in enumerate(itertools.product(range(n), repeat=k)):
-        expect = sum(c * comps[flat(tuple(idx[p] for p in perm))] for perm, c in terms)
-        assert out[flat_idx] == expect
+        expect = sum(c * values[flat(tuple(idx[p] for p in perm))] for perm, c in terms)
+        assert out[flat_idx] == m.rf(expect)
 
 
 # -- slot-symmetry orbits ------------------------------------------------------
@@ -259,13 +261,14 @@ def test_projected_fraction_fields_have_the_orbit_symmetries(n, diagram):
     from causalcoh.young import orbits, slot_symmetries
     k = diagram.cells
     rng = random.Random(n * 100 + k)
-    comps = [Fraction(rng.randrange(-4, 5), rng.randrange(1, 3)) for _ in range(n ** k)]
-    t = project_components(comps, n, diagram, Fraction(0))
+    m = minkowski(n)
+    comps = [m.rf(Fraction(rng.randrange(-4, 5), rng.randrange(1, 3))) for _ in range(n ** k)]
+    t = project_components(comps, n, diagram, m.zero)
     group = slot_symmetries(diagram)
     for idx in itertools.product(range(n), repeat=k):
         for w, s in group:
-            assert t[_flat(_permuted(idx, w), n)] == s * t[_flat(idx, n)]
-    assert all(t[f] == 0 for f in orbits(n, k, diagram).zeros)
+            assert t[_flat(_permuted(idx, w), n)] == t[_flat(idx, n)].scale(s)
+    assert all(t[f].is_zero() for f in orbits(n, k, diagram).zeros)
 
 
 @pytest.mark.parametrize("rows, n", [((1, 1), 3), ((2,), 3), ((2, 1), 3), ((2, 2), 3),
@@ -273,10 +276,12 @@ def test_projected_fraction_fields_have_the_orbit_symmetries(n, diagram):
 def test_project_components_matches_the_dense_projector_matrix(rows, n):
     diagram = YoungDiagram(rows)
     rng = random.Random(len(rows) * 10 + n)
-    comps = [Fraction(rng.randrange(-4, 5)) for _ in range(n ** diagram.cells)]
+    values = [Fraction(rng.randrange(-4, 5)) for _ in range(n ** diagram.cells)]
     p = young_projector(diagram, n)
-    dense = [sum(p[i, j] * comps[j] for j in range(p.cols)) for i in range(p.rows)]
-    assert project_components(comps, n, diagram, Fraction(0)) == dense
+    dense = [sum(p[i, j] * values[j] for j in range(p.cols)) for i in range(p.rows)]
+    m = minkowski(n)
+    assert project_components([m.rf(v) for v in values], n, diagram, m.zero) == [
+        m.rf(v) for v in dense]
 
 
 def _fill_loop(orb, values, zero):

@@ -65,7 +65,7 @@ from .causal import CohomologyTable, SpacetimeModel, SupportClass, full_table, p
 from .charts import (Chart, ChartKind, christoffel_from_metric, de_sitter, lower_last_index,
                      minkowski, riemann_from_christoffel)
 from .linalg import sparse_rank
-from .polynomials import RationalFunction, monomial_key, monomial_shift
+from .polynomials import EXPONENT_BOUND, RationalFunction, monomial_key, monomial_shift
 from .simplicial import CohomologyProfile, preset_profile
 from .tensors import (TensorField, box_tensor, first_difference, nabla, odot, partial_tensor,
                       pattern_sum, trace, trace_pair)
@@ -297,6 +297,15 @@ def killing_yano_operator(w: TensorField) -> TensorField:
 
 # -- seeded random field corpus ----------------------------------------------
 
+def _check_degree_bound(degree: int) -> None:
+    """Refuse a degree bound below 0, or one whose monomials' exponents the
+    packed keys of ``terms`` cannot store."""
+    if degree < 0:
+        raise CalabiError(f"degree bound must be >= 0, got {degree}")
+    if degree >= EXPONENT_BOUND:
+        raise CalabiError(f"degree bound must be below {EXPONENT_BOUND}, got {degree}")
+
+
 def random_polynomial(rng: random.Random, nvars: int, degree: int,
                       coeff_bound: int = 3, terms: int = 3) -> RationalFunction:
     """Up to ``terms`` monomials of degree <= ``degree`` with integer
@@ -321,6 +330,7 @@ def random_polynomials(rng: random.Random, nvars: int, degree: int, count: int,
     ``getrandbits`` gets other draws.)  Monomial keys are packed as the
     exponents are drawn, so no exponent lists are built.
     """
+    _check_degree_bound(degree)
     getrandbits = rng.getrandbits
     width, coeff_width = degree + 1, 2 * coeff_bound + 1
     bits, coeff_bits = width.bit_length(), coeff_width.bit_length()
@@ -617,8 +627,7 @@ def killing_system(operator: str, chart: Chart, degree_bound: int) -> list[dict]
     """
     if operator not in SOLUTION_OPERATORS:
         raise CalabiError(f"unknown operator {operator!r}")
-    if degree_bound < 0:
-        raise CalabiError(f"degree bound must be >= 0, got {degree_bound}")
+    _check_degree_bound(degree_bound)
     n = chart.n
     g = chart.metric_diag
     if operator == "killing":

@@ -39,6 +39,9 @@ _SHIFT = 16
 _MASK = (1 << _SHIFT) - 1
 _OFFSET = 1 << (_SHIFT - 1)
 
+#: The packed keys store the exponents e with -EXPONENT_BOUND <= e < EXPONENT_BOUND.
+EXPONENT_BOUND = _OFFSET
+
 _ONE_KEYS: dict[int, int] = {}
 
 

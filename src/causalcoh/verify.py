@@ -17,6 +17,7 @@ from .complexes import check_exactness, contractibility_check, long_exact_sequen
 from .forms import box_de_rham, exterior_derivative
 from .generators import (invertible_null_homotopic_map, random_contractible_complex,
                          random_short_exact_seq)
+from .polynomials import EXPONENT_BOUND
 from .tensors import TensorField, first_difference
 from .young import (CALABI_DIAGRAMS, group_algebra_idempotent, hook_rank, projector_rank,
                     symmetrize_slots)
@@ -125,6 +126,8 @@ def run_forms_suite(seed: int = 0, cases: int = 50, degree: int = 3) -> SuiteRep
     _require_cases(cases)
     if degree < 0:
         raise ValueError(f"degree must be at least 0, got {degree}")
+    if degree >= EXPONENT_BOUND:
+        raise ValueError(f"degree must be below {EXPONENT_BOUND}, got {degree}")
     items = []
     for chart, label in ((minkowski(4), "minkowski4"), (de_sitter(4, 1), "deSitter4")):
         rng = random.Random(seed)

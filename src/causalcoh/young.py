@@ -15,12 +15,15 @@ Dense component arrays use the row-major flat index
 ``(((i_0 * n) + i_1) * n + ...) + i_{k-1}``, and :class:`SlotOrbits` is the
 one place that computes it.  A tensor of a diagram's type has the +-1 slot
 symmetries t[I o w] = s * t[I] of :func:`slot_symmetries`, derived from the
-projector pi as the pairs with w pi = s pi.  Such a signed slot group,
-a frozenset of (w, s) pairs, is what a symmetry tag holds
-(:func:`slot_group`).  :func:`orbits` is the one place that splits the
-indices into orbits, for a diagram, a group or no tag, built on first use
-and cached per group: one canonical index per orbit, a signed copy for
-every other member, and the orbits on which the symmetries force a zero.
+projector pi as the pairs with w pi = s pi: a few verified generators and
+their closure under composition.  Such a signed slot group, a frozenset
+of (w, s) pairs, is what a symmetry tag holds (:func:`slot_group`).
+:func:`orbits` is the one place that splits the indices into orbits, for
+a diagram, a group or no tag, built on first use and cached per group:
+one canonical index per orbit, a signed copy for every other member, and
+the orbits on which the symmetries force a zero.  The table of a product
+group, one that acts on the leading and the trailing slots separately,
+is composed from the tables of its two factors; any other is scanned.
 :func:`lifted_group` and :func:`contracted_group` give the groups that
 survive a covariant derivative and a trace.  Storage stays dense;
 computation does not: ``slot_combination``, the signed sum of slot
@@ -257,17 +260,32 @@ def slot_symmetries(diagram: YoungDiagram) -> frozenset:
     Every tensor in the image of pi then has t[I o w] = s * t[I].  The
     coefficient of w in w pi is that of the identity in pi, so only the
     permutations whose coefficient in pi is +-that one are candidates.
+    The pairs form a group, as w1 pi = s1 pi and w2 pi = s2 pi give
+    w1 w2 pi = s1 s2 pi: a candidate is checked only if the closure of the
+    pairs verified so far lacks it, and its check stops at the first term
+    of w pi that is not s times a term of pi.  A permutation that the
+    closure reaches with both signs raises, as it would make pi zero.
     """
     pi = dict(_projector_terms(diagram))
-    one = pi[tuple(range(diagram.cells))]
-    out = set()
+    identity = tuple(range(diagram.cells))
+    one = pi[identity]
+    group, verified = {identity: 1}, []
     for w, c in pi.items():
-        if abs(c) != one:
+        if w in group or abs(c) != one:
             continue
         s = 1 if c == one else -1
-        if {_compose(w, u): s * cu for u, cu in pi.items()} == pi:
-            out.add((w, s))
-    return frozenset(out)
+        if not all(pi.get(_compose(w, u)) == s * cu for u, cu in pi.items()):
+            continue
+        verified.append((w, s))
+        frontier = [(_compose(u, w), t * s) for u, t in group.items()]
+        while frontier:
+            u, t = frontier.pop()
+            if u not in group:
+                group[u] = t
+                frontier += [(_compose(u, g), t * sg) for g, sg in verified]
+            elif group[u] != t:
+                raise AssertionError(f"{diagram} has the slot symmetry {u} with both signs")
+    return frozenset(group.items())
 
 
 def slot_group(symmetry) -> frozenset | None:
@@ -316,23 +334,64 @@ def orbits(n: int, k: int, symmetry=None) -> SlotOrbits:
     cached.  A diagram and its group share one table, and None or the
     trivial group makes every index its own orbit.
 
-    A group that fixes slot 0, such as that of a covariant derivative, has
-    the orbits of its action on the other slots once per value of slot 0;
-    they are shifted, not scanned again."""
+    A group that maps the slots 0..j-1 onto themselves and is the product
+    of its head (the elements fixing every later slot) and its tail (those
+    fixing every earlier one), such as that of a covariant derivative or
+    of the (2,2,1,1) type, has its table composed from the tables of the
+    two factors (:func:`_product_orbits`); any other group is scanned."""
     group = slot_group(symmetry)
     if group is not symmetry:
         return orbits(n, k, group)
     if group is None:
-        return _build_orbits(n, k, ((tuple(range(k)), 1),))
-    if not k or any(w[0] for w, _ in group):
-        return _build_orbits(n, k, group)
-    inner = orbits(n, k - 1, frozenset((tuple(t - 1 for t in w[1:]), s) for w, s in group))
-    shifts = [c * n ** (k - 1) for c in range(n)]
-    return SlotOrbits(
-        n, k,
-        [s + flat for s in shifts for flat in inner.canonical],
-        [(s + flat, s + canon, sign) for s in shifts for flat, canon, sign in inner.fill],
-        [s + flat for s in shifts for flat in inner.zeros])
+        return SlotOrbits(n, k, range(n ** k), (), ())
+    for j in range(1, k):
+        if any(t >= j for w, _ in group for t in w[:j]):
+            continue
+        lead, rest = tuple(range(j)), tuple(range(j, k))
+        head = frozenset((w[:j], s) for w, s in group if w[j:] == rest)
+        tail = frozenset((tuple(t - j for t in w[j:]), s) for w, s in group if w[:j] == lead)
+        if len(head) * len(tail) == len(group):
+            return _product_orbits(orbits(n, j, head), orbits(n, k - j, tail))
+    return _build_orbits(n, k, group)
+
+
+def _members(orb: SlotOrbits) -> dict[int, list[tuple[int, int]]]:
+    """Per canonical index, in order, the (flat, sign) members of its orbit
+    in increasing flat order, the canonical index first with sign +1."""
+    out = {flat: [(flat, 1)] for flat in orb.canonical}
+    for flat, canon, sign in orb.fill:
+        out[canon].append((flat, sign))
+    return out
+
+
+def _product_orbits(head: SlotOrbits, tail: SlotOrbits) -> SlotOrbits:
+    """The table of a product group from those of its factors, head on the
+    leading and tail on the trailing slots, equal to the scan's.
+
+    The flat index of (I, J) is I * N + J with N = n^(rank of tail), so an
+    orbit is a pair of orbits, smallest at the pair of their canonical
+    indices, and its members are the pairs of members in increasing flat
+    order with the product of their signs.  The stabiliser of (I, J) is the
+    product of those of I and J, so it holds a -1, and the orbit vanishes,
+    exactly where one of the two does.  (A group that holds (id, -1)
+    forces every component to zero, and so does its head, which holds it
+    too.)"""
+    size = tail.n ** tail.k
+    tails = _members(tail)
+    canonical, fill = [], []
+    for ch, hm in _members(head).items():
+        for ct, tm in tails.items():
+            c = ch * size + ct
+            canonical.append(c)
+            pairs = [(h * size + t, c, sh * st) for h, sh in hm for t, st in tm]
+            fill += pairs[1:]  # pairs[0] is (c, c, 1)
+    zeros = []
+    if head.zeros or tail.zeros:
+        vanishing = set(head.zeros)
+        for h in range(head.n ** head.k):
+            base = h * size
+            zeros += range(base, base + size) if h in vanishing else [base + t for t in tail.zeros]
+    return SlotOrbits(head.n, head.k + tail.k, canonical, fill, zeros)
 
 
 def _slot_perms(k: int, slots, signed: bool):
@@ -385,10 +444,16 @@ def symmetrize_slots(comps, n: int, k: int, slots, signed: bool, zero):
 
 @lru_cache(maxsize=None)
 def _projector_terms(diagram: YoungDiagram) -> tuple:
-    """The projector times its hook product: integer (perm, c) terms."""
-    hooks = diagram.hook_product()
-    return tuple(sorted((w, int(c * hooks))
-                        for w, c in projector_group_algebra(diagram).items()))
+    """The projector times its hook product: integer (perm, c) terms, the
+    product of the column antisymmetrizers and the row symmetrizers, sorted
+    by perm."""
+    k = diagram.cells
+    coeffs = {tuple(range(k)): 1}
+    for row in diagram.row_slots():
+        coeffs = _multiply(dict(_slot_perms(k, row, signed=False)), coeffs)
+    for col in diagram.column_slots():
+        coeffs = _multiply(dict(_slot_perms(k, col, signed=True)), coeffs)
+    return tuple(sorted(coeffs.items()))
 
 
 def project_components(comps, n: int, diagram: YoungDiagram, zero):
@@ -437,7 +502,7 @@ def projector_rank(diagram: YoungDiagram, n: int) -> int:
 
 def _multiply(a: dict, b: dict) -> dict:
     """Product of two group-algebra elements, perm -> coefficient maps."""
-    out: dict[tuple, Fraction] = {}
+    out: dict[tuple, int | Fraction] = {}
     for w1, c1 in a.items():
         for w2, c2 in b.items():
             w = _compose(w1, w2)
@@ -456,13 +521,8 @@ def projector_group_algebra(diagram: YoungDiagram):
     P_w acts by (P_w T)[i] = T[i lifted through w].  Used to check
     idempotency in the group algebra, which implies matrix idempotency.
     """
-    k = diagram.cells
-    coeffs: dict[tuple, Fraction] = {tuple(range(k)): Fraction(1, diagram.hook_product())}
-    for row in diagram.row_slots():
-        coeffs = _multiply(dict(_slot_perms(k, row, signed=False)), coeffs)
-    for col in diagram.column_slots():
-        coeffs = _multiply(dict(_slot_perms(k, col, signed=True)), coeffs)
-    return coeffs
+    hooks = diagram.hook_product()
+    return {w: Fraction(c, hooks) for w, c in _projector_terms(diagram)}
 
 
 def group_algebra_idempotent(diagram: YoungDiagram) -> bool:

@@ -438,6 +438,23 @@ def test_random_polynomials_continue_one_stream(nvars, degree, terms, count):
         assert fast.getstate() == general.getstate()
 
 
+def test_degree_bounds_the_packed_keys_cannot_store_are_refused():
+    # at seed 46 a bound of 70000 draws x1^41954 * x2^7137, which packed
+    # exponents would store as x1^-23582 * x2^7138
+    with pytest.raises(CalabiError, match="below 32768, got 70000"):
+        random_polynomial(random.Random(46), 4, 70000)
+    with pytest.raises(CalabiError, match="below 32768, got 32768"):
+        random_polynomials(random.Random(46), 4, 32768, 2)
+    # refused before the monomials of the ansatz are listed
+    with pytest.raises(CalabiError, match="below 32768, got 100000000000"):
+        killing_system("killing", minkowski(4), 100000000000)
+    # the largest storable bound draws what the general constructors draw
+    for seed in range(5):
+        fast, general = random.Random(seed), random.Random(seed)
+        assert random_polynomial(fast, 4, 32767) == _general_route_random_polynomial(
+            general, 4, 32767)
+
+
 @pytest.mark.parametrize("chart", [minkowski(4), de_sitter(4, 1)], ids=["flat", "dS"])
 def test_random_calabi_field_equals_projected_general_draws(chart):
     # one general-route draw per dense component, then the Young projection

@@ -386,6 +386,19 @@ def test_negative_degree_exits_2_naming_the_argument(argv, needle):
     assert needle in rep["error"] and "randrange" not in rep["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "calabi", "--background", "minkowski4", "--degree", "70000"),
+    ("verify", "--suite", "forms", "--degree", "32768"),
+    ("killing", "--background", "minkowski4", "--operator", "killing", "--degree",
+     "100000000000"),
+    ("killing", "--background", "deSitter4", "--operator", "killingYano", "--degree", "32768"),
+])
+def test_degree_bound_beyond_the_packed_exponents_exits_2(argv):
+    code, rep = run_json(*argv)
+    assert code == 2
+    assert rep["error"].endswith(f"must be below 32768, got {argv[-1]}")
+
+
 @pytest.mark.parametrize("argv, argument", [
     (("verify", "--suite", "young", "--cases", "3"), "--cases"),
     (("verify", "--suite", "young", "--cases", "0"), "--cases"),

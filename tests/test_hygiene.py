@@ -113,6 +113,22 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
     assert result.returncode == 0, result.stderr
 
 
+def test_importing_the_cli_builds_no_slot_group_or_orbit_table():
+    # slot groups and orbit tables are built on first use: work moved to
+    # import time would only move from a command's run to its start-up
+    root = SRC.parent.parent
+    path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    code = ("import causalcoh.cli\n"
+            "from causalcoh.young import orbits, slot_symmetries\n"
+            "print(slot_symmetries.cache_info().currsize, orbits.cache_info().currsize)")
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
+        capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0", "0"]
+
+
 # The name bench/layers.py wraps; only polynomials.py may bind it.
 BENCHMARK_ALIAS = "MultiPolynomial"
 

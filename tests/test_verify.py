@@ -1,7 +1,11 @@
+import hashlib
+import random
+
 import pytest
 
 from causalcoh import verify
-from causalcoh.complexes import ContractibilityVerdict, NodeVerdict
+from causalcoh.complexes import ContractibilityVerdict, NodeVerdict, long_exact_sequence
+from causalcoh.generators import subcomplex_of_contractible_seq
 from causalcoh.tensors import TensorField
 from causalcoh.verify import (run_calabi_suite, run_forms_suite, run_homology_suite,
                               run_suite, run_young_suite)
@@ -118,3 +122,49 @@ def test_failed_forms_items_name_the_component_and_the_residual(monkeypatch):
         for what in ("d∘d", "d∘box = box∘d") for i in (0, 5)}
     assert all(c["detail"].startswith("first differing component (0,") for c in failed)
     assert all("detail" not in c for c in rep["checks"] if c["passed"])
+
+
+def _les_digest(sequences) -> str:
+    """SHA-256 of every node of the sequences: degree, position, dim, and the
+    outgoing matrix's shape and stored rows, each entry with its type."""
+    h = hashlib.sha256()
+    for seq in sequences:
+        for node in seq.nodes:
+            m = node.outgoing
+            rows = [sorted((j, type(v).__name__, str(v)) for j, v in row.items())
+                    for row in m._r]
+            h.update(repr((node.degree, node.position, node.dim, m.rows, m.cols, rows)).encode())
+        h.update(b";")
+    return h.hexdigest()
+
+
+LES_DIGEST = "aeaf12e24238120ede21255013a9ec8f2b7f7b8636cdfebd8e9819ec34d61168"
+SHIFT_LES_DIGEST = "46e969e452b6e81b3bffaf82d701736f1c462dc1d5eacaca79532506092bfbd6"
+
+
+def test_homology_suite_sequences_are_pinned(monkeypatch):
+    # the report lists only each check's verdict, so a wrong induced or
+    # connecting map that keeps every sequence exact keeps its digest; this
+    # pins the maps themselves, at the CLI's default seed and cases
+    sequences = []
+
+    def recorded(s):
+        seq = long_exact_sequence(s)
+        sequences.append(seq)
+        return seq
+
+    monkeypatch.setattr(verify, "long_exact_sequence", recorded)
+    assert run_homology_suite(seed=42, cases=200).all_passed
+    assert len(sequences) == 200
+    assert _les_digest(sequences) == LES_DIGEST
+
+
+def test_connecting_maps_of_shift_sequences_are_pinned():
+    # the suite's twisted middle differential is a coboundary twist, so all
+    # its connecting maps vanish; over a contractible middle complex they
+    # are the isomorphisms H^p(C) = H^{p+1}(A)
+    rng = random.Random(42)
+    sequences = [long_exact_sequence(subcomplex_of_contractible_seq(rng)) for _ in range(50)]
+    assert any(not node.outgoing.is_zero()
+               for seq in sequences for node in seq.nodes if node.position == "C")
+    assert _les_digest(sequences) == SHIFT_LES_DIGEST

@@ -335,3 +335,94 @@ def test_gather_fill_equals_the_fill_loop():
         assert all(got[flat] is f0 for flat in orb.zeros)
         scalars = [m.coordinate(i % 4).scale(i + 1) for i in range(len(orb.canonical))]
         assert orb.fill_from(scalars, m.zero) == _fill_loop(orb, scalars, m.zero)
+
+
+# -- slot groups and orbit tables against their direct derivations -------------
+
+def _partitions(k, largest=None):
+    if k == 0:
+        yield ()
+        return
+    for first in range(min(k, largest or k), 0, -1):
+        for rest in _partitions(k - first, first):
+            yield (first,) + rest
+
+
+ALL_DIAGRAMS = [YoungDiagram(rows) for k in range(1, 7) for rows in _partitions(k)]
+
+
+def _fraction_route_projector_terms(diagram):
+    """hooks * pi, with pi the product of the column antisymmetrizers and
+    the row symmetrizers taken over Fractions from the coefficient 1/hooks."""
+    from causalcoh.young import _multiply, _slot_perms
+    k, hooks = diagram.cells, diagram.hook_product()
+    coeffs = {tuple(range(k)): Fraction(1, hooks)}
+    for row in diagram.row_slots():
+        coeffs = _multiply(dict(_slot_perms(k, row, signed=False)), coeffs)
+    for col in diagram.column_slots():
+        coeffs = _multiply(dict(_slot_perms(k, col, signed=True)), coeffs)
+    return {w: int(c * hooks) for w, c in coeffs.items()}
+
+
+def _brute_force_slot_symmetries(diagram):
+    """Every candidate (w, s) checked against the whole projector: w pi is
+    built in full and compared with s pi."""
+    from causalcoh.young import _compose
+    pi = _fraction_route_projector_terms(diagram)
+    one = pi[tuple(range(diagram.cells))]
+    out = set()
+    for w, c in pi.items():
+        if abs(c) != one:
+            continue
+        s = 1 if c == one else -1
+        if {_compose(w, u): s * cu for u, cu in pi.items()} == pi:
+            out.add((w, s))
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("diagram", ALL_DIAGRAMS, ids=lambda d: str(d.rows))
+def test_slot_symmetries_equal_the_column_group_and_the_brute_force_derivation(diagram):
+    from causalcoh.young import _projector_terms, slot_symmetries
+    terms = _projector_terms(diagram)
+    assert [w for w, _ in terms] == sorted(w for w, _ in terms)
+    assert dict(terms) == _fraction_route_projector_terms(diagram)
+    group = slot_symmetries(diagram)
+    assert group == _column_group(diagram)
+    assert group == _brute_force_slot_symmetries(diagram)
+
+
+def _tables_to_compare():
+    """(n, k, symmetry): the operator groups at n = 4, and for every
+    diagram of at most 5 cells at n = 2, 3, 4 its group, the group of its
+    covariant derivative, every trace and the divergence, and two groups
+    that preserve the slot blocks {0, 1} and {2, 3}: one that is not the
+    product of its two block factors, and one that holds (id, -1)."""
+    from causalcoh.young import contracted_group, group_rank, lifted_group, slot_symmetries
+    out = []
+    for group in _operator_groups():
+        k = 3 if group is None else (group.cells if isinstance(group, YoungDiagram)
+                                     else group_rank(group))
+        out.append((4, k, group))
+    swap, identity = (1, 0, 3, 2), (0, 1, 2, 3)
+    groups = [(4, frozenset({(identity, 1), (swap, 1)})),
+              (4, frozenset({(identity, 1), (identity, -1), (swap, 1), (swap, -1)}))]
+    for diagram in ALL_DIAGRAMS:
+        k = diagram.cells
+        if k > 5:
+            continue
+        group = slot_symmetries(diagram)
+        groups += [(k, diagram), (k + 1, lifted_group(group)),
+                   (k - 1, contracted_group(lifted_group(group), 0, 1))]
+        groups += [(k - 2, contracted_group(group, i, j))
+                   for i in range(k) for j in range(i + 1, k)]
+    return out + [(n, k, g) for n in (2, 3, 4) for k, g in groups]
+
+
+def test_orbit_tables_equal_the_scan():
+    from causalcoh.young import _build_orbits, orbits, slot_group
+    for n, k, symmetry in _tables_to_compare():
+        group = slot_group(symmetry)
+        scan = _build_orbits(n, k, group or ((tuple(range(k)), 1),))
+        orb = orbits(n, k, symmetry)
+        assert (orb.n, orb.k, orb.canonical, orb.fill, orb.zeros) == (
+            n, k, scan.canonical, scan.fill, scan.zeros), (n, k, symmetry)

@@ -14,12 +14,12 @@ keeps every operation deterministic.
 
 Representatives are needed only where a map acts on cohomology: induced
 maps, connecting maps, class coordinates and the long exact sequence.
-There H^p is found in one elimination pass
-(:func:`linalg.independent_columns`): the columns of d_{p-1} are reduced
-into a sparse echelon basis, then the kernel columns in order, and a
-kernel column is kept exactly when its residual is nonzero.  Each complex
-memoises H^p per degree, so those computations reuse one result.
-Complexes are immutable, which keeps the memo valid.
+There H^p comes from the rref of d_p and one elimination of the columns
+of d_{p-1} in kernel coordinates (:func:`linalg.quotient_basis`), which
+also yields a coordinate matrix: the class of a cocycle in the chosen
+basis is one matrix product, with no system solved per induced map.
+Each complex memoises H^p per degree, so those computations reuse one
+result.  Complexes are immutable, which keeps the memo valid.
 
 Where only dimensions are needed (triangulated slice profiles, the
 contractibility check), :func:`cohomology_dims` uses rank-nullity instead
@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .linalg import MatrixQ, independent_columns
+from .linalg import MatrixQ, quotient_basis
 
 
 class ComplexError(ValueError):
@@ -111,6 +111,7 @@ class CohomologySpace:
     degree: int
     dim: int
     basis: MatrixQ  # columns are cocycle representatives in C^p
+    coordinates: MatrixQ  # dim x dim C^p: a cocycle's class in the basis
 
 
 class CochainMap:
@@ -172,10 +173,9 @@ def cohomology(c: CochainComplex, p: int) -> CohomologySpace:
     """
     h = c._cohomology.get(p)
     if h is None:
-        kernel = c.d(p).kernel_basis()
-        kept = independent_columns(c.d(p - 1), kernel)
-        h = c._cohomology[p] = CohomologySpace(degree=p, dim=len(kept),
-                                               basis=kernel.take_columns(kept))
+        basis, coordinates = quotient_basis(c.d(p), c.d(p - 1))
+        h = c._cohomology[p] = CohomologySpace(degree=p, dim=basis.cols, basis=basis,
+                                               coordinates=coordinates)
     return h
 
 
@@ -203,16 +203,14 @@ def cohomology_dims(c: CochainComplex) -> dict[int, int]:
 def class_coordinates(c: CochainComplex, p: int, vectors: MatrixQ) -> MatrixQ:
     """Coordinates of cocycle columns in the chosen basis of H^p(c).
 
-    Solves [image basis | representatives] x = v and keeps the
-    representative block, i.e. reduces each cocycle modulo im(d_{p-1}).
+    The image of d_{p-1} and the representatives span the cocycles, so a
+    column has coordinates exactly when d_p sends it to zero; they are then
+    unique, and the coordinate matrix of :func:`cohomology` gives them.
     """
     h = cohomology(c, p)
-    image = c.d(p - 1)
-    stacked = image.hstack(h.basis)
-    sol = stacked.solve(vectors)
-    if sol is None:
+    if not (c.d(p) * vectors).is_zero():
         raise ExactnessError(f"vector is not a cocycle-representable class at degree {p}")
-    return sol.take_rows(range(image.cols, image.cols + h.dim))
+    return h.coordinates * vectors
 
 
 def induced_map(f: CochainMap, p: int) -> MatrixQ:

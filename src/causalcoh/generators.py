@@ -72,13 +72,13 @@ class StructuredComplex:
     """A random complex together with construction data.
 
     ``dots[p]`` is the expected cohomology dimension at degree p;
-    ``contraction`` is a homotopy with dh + hd = identity whenever there
-    are no dots (contractible case).
+    ``contraction`` is a homotopy with dh + hd = identity when there are
+    no dots (contractible case), and None otherwise.
     """
 
     complex: CochainComplex
     dots: dict
-    contraction: CochainHomotopy
+    contraction: CochainHomotopy | None
 
 
 def _structured(rng: random.Random, n_degrees: int, max_dim: int,
@@ -97,7 +97,6 @@ def _structured(rng: random.Random, n_degrees: int, max_dim: int,
         dims[p] = dots[p] + arrows[p] + arrows.get(p - 1, 0)
     # basis order at degree p: [dots | arrow tails (to p+1) | arrow heads (from p-1)]
     diffs = {}
-    hmaps = {}
     for p in degrees[:-1]:
         dcur, dnxt = dims[p], dims[p + 1]
         mat = [[0] * dcur for _ in range(dnxt)]
@@ -106,14 +105,6 @@ def _structured(rng: random.Random, n_degrees: int, max_dim: int,
             col = dots[p] + a
             mat[row][col] = 1
         diffs[p] = MatrixQ(dnxt, dcur, mat)
-    for p in degrees[1:]:
-        dcur, dprv = dims[p], dims[p - 1]
-        mat = [[0] * dcur for _ in range(dprv)]
-        for a in range(arrows.get(p - 1, 0)):
-            row = dots[p - 1] + a
-            col = dots[p] + arrows[p] + a
-            mat[row][col] = 1
-        hmaps[p] = MatrixQ(dprv, dcur, mat)
     base = CochainComplex(dims, diffs)
     # conjugate by random unimodular changes of basis
     s, s_inv = {}, {}
@@ -121,8 +112,18 @@ def _structured(rng: random.Random, n_degrees: int, max_dim: int,
         s[p], s_inv[p] = random_unimodular(rng, dims[p])
     new_diffs = {p: s[p + 1] * base.d(p) * s_inv[p] for p in degrees[:-1]}
     cplx = CochainComplex(dims, new_diffs)
-    new_h = {p: s[p - 1] * hmaps[p] * s_inv[p] for p in degrees[1:] if dims[p] and dims[p - 1]}
-    return StructuredComplex(cplx, dots, CochainHomotopy(cplx, new_h))
+    if any(dots.values()):
+        return StructuredComplex(cplx, dots, None)
+    # the contraction sends each arrow head back to its tail
+    hmaps = {}
+    for p in degrees[1:]:
+        dcur, dprv = dims[p], dims[p - 1]
+        if dcur and dprv:
+            mat = [[0] * dcur for _ in range(dprv)]
+            for a in range(arrows[p - 1]):
+                mat[a][arrows[p] + a] = 1
+            hmaps[p] = s[p - 1] * MatrixQ(dprv, dcur, mat) * s_inv[p]
+    return StructuredComplex(cplx, dots, CochainHomotopy(cplx, hmaps))
 
 
 def random_complex(rng: random.Random, max_degrees: int = 5, max_dim: int = 6,
@@ -162,6 +163,8 @@ def invertible_null_homotopic_map(rng: random.Random, sc: StructuredComplex,
     """
     c = sc.complex
     base = sc.contraction
+    if base is None:
+        raise ValueError("invertible_null_homotopic_map needs a contractible complex")
     for trial in range(attempts):
         hmaps = {}
         for p in c.degrees():
@@ -184,7 +187,11 @@ def random_short_exact_seq(rng: random.Random, max_degrees: int = 5,
     """0 -> A -> A (+) C -> C -> 0 with a twisted differential on the middle.
 
     The twist t = dA t' - t' dC makes the middle differential square to
-    zero while producing nontrivial connecting maps.
+    zero.  It is a coboundary, so (a, c) -> (a + t' c, c) is an isomorphism
+    of the middle complex onto A (+) C with the untwisted differential, and
+    it commutes with the inclusion and the projection: the sequence splits
+    and every connecting map is zero.  :func:`subcomplex_of_contractible_seq`
+    builds sequences whose connecting maps are nonzero.
     """
     a = random_complex(rng, max_degrees, max_dim // 2 or 1, p_min=0).complex
     c = random_complex(rng, max_degrees, max_dim // 2 or 1, p_min=0).complex

@@ -14,9 +14,9 @@ the lowest index: :func:`_pivots` eliminates copies of given rows with it
 and returns the pivot set, which :meth:`MatrixQ.pivots`, :meth:`MatrixQ.rank`
 and :func:`sparse_rank` read; :meth:`MatrixQ.rref`, ``kernel_basis``,
 ``solve`` and ``inverse`` back-substitute the resulting basis into the
-unique reduced row echelon form; and :func:`independent_columns` eliminates
-the columns of the large sparse coboundaries of triangulations.  Identical
-inputs yield bit-identical outputs.
+unique reduced row echelon form; and :func:`quotient_basis` reads the
+cohomology representatives and their coordinates off two such forms.
+Identical inputs yield bit-identical outputs.
 
 The elimination is fraction-free (Bareiss 1968): an echelon vector whose
 lead is not 1 is an int vector divided by the gcd of its entries, and
@@ -251,10 +251,7 @@ class MatrixQ:
         rows = self._echelon()
         pivots = {p for p, _ in rows}
         free = {f: k for k, f in enumerate(f for f in range(self.cols) if f not in pivots)}
-        out = [{free[f]: 1} if f in free else None for f in range(self.cols)]
-        for p, row in rows:
-            out[p] = {free[f]: -x for f, x in row.items() if f != p}
-        return MatrixQ._trusted(self.cols, len(free), out)
+        return _kernel_columns(self.cols, rows, free)
 
     def solve(self, rhs: "MatrixQ") -> "MatrixQ | None":
         """A particular solution X of ``self * X = rhs`` (free vars = 0).
@@ -439,22 +436,65 @@ def _divided(row: dict, lead) -> dict:
     return {j: q(Fraction(x, lead)) for j, x in row.items()}
 
 
-def independent_columns(span: MatrixQ, candidates: MatrixQ) -> tuple[int, ...]:
-    """Indices of the columns of ``candidates`` that enlarge the running span.
+def quotient_basis(d: MatrixQ, image: MatrixQ) -> tuple[MatrixQ, MatrixQ]:
+    """Representatives of ker ``d`` modulo the column span of ``image``,
+    and the coordinates of a vector of ker ``d`` in them.
 
-    One elimination pass over sparse columns (dict index -> exact value): the
-    columns of ``span`` are reduced into an echelon basis first, then the
-    candidates in order.  A candidate whose residual is nonzero is kept and
-    its residual joins the basis, so candidate j is kept exactly when
-    ``rank([span | kept | c_j]) > rank([span | kept])``.
+    ``image`` must satisfy ``d * image = 0``.  The representatives are the
+    columns of the canonical kernel basis (:meth:`MatrixQ.kernel_basis`)
+    that enlarge the span of ``image`` and of the columns before them.
+    Returns ``(basis, coordinates)``: ``basis`` holds those columns, and
+    the rows of ``coordinates`` map each v in ker ``d`` to the unique x with
+    v - basis * x in the span of ``image``.
+
+    Each free column of ``d`` gives a unit row of the kernel basis, so a
+    kernel vector's coordinates x in that basis are its entries at the free
+    columns.  The columns of ``image`` at the free rows are reduced to rref
+    pivoting on the highest index (:func:`_rref_rows` on reversed indices).
+    Kernel column k enlarges the span of the image and of the columns
+    before it exactly when no image vector has its highest nonzero index
+    at k: the kept columns are the free positions that are not pivots.
+    Reducing x modulo the image clears the pivots, so the coordinate of a
+    kept k is x_k minus b[k] x_h over the reduced image vectors b, each
+    with its pivot h.  ``ValueError`` if ``image`` has not ``d.cols`` rows.
     """
-    if span.rows != candidates.rows:
+    if image.rows != d.cols:
         raise ValueError("row count mismatch")
-    basis: dict[int, dict] = {}  # pivot -> residual
-    for col in _column_dicts(span):
-        _reduce_into(basis, col)
-    return tuple(j for j, col in enumerate(_column_dicts(candidates))
-                 if _reduce_into(basis, col))
+    rows = d._echelon()
+    pivots = {p for p, _ in rows}
+    free = [f for f in range(d.cols) if f not in pivots]
+    if not free:
+        return _zeros(d.cols, 0), _zeros(0, d.cols)
+    last = len(free) - 1
+    # the image columns at the free rows, indexed last - k at free[k]
+    columns: list[dict] = [{} for _ in range(image.cols)]
+    for k, f in enumerate(free):
+        for j, x in image._r[f].items():
+            columns[j][last - k] = x
+    image_rows = _rref_rows(columns)
+    high = {last - r for r, _ in image_rows}
+    kept = {free[k]: t for t, k in enumerate(k for k in range(len(free)) if k not in high)}
+    coordinates = [{f: 1} for f in kept]
+    for r, row in image_rows:
+        h = free[last - r]
+        for j, x in row.items():
+            if j != r:
+                coordinates[kept[free[last - j]]][h] = -x
+    return (_kernel_columns(d.cols, rows, kept),
+            MatrixQ._trusted(len(kept), d.cols, coordinates))
+
+
+def _kernel_columns(n: int, rows: list[tuple[int, dict]], kept: dict) -> MatrixQ:
+    """The columns of the canonical kernel basis of a matrix with ``n``
+    columns and rref ``rows`` at the free columns in ``kept`` (free column
+    -> output column): 1 at the free column, the negated rref rows at the
+    pivots, and 0 at every other free column."""
+    out = [_EMPTY] * n
+    for f, t in kept.items():
+        out[f] = {t: 1}
+    for p, row in rows:
+        out[p] = {kept[f]: -x for f, x in row.items() if f in kept}
+    return MatrixQ._trusted(n, len(kept), out)
 
 
 def sparse_rank(vectors: Iterable[dict]) -> int:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalcoh.linalg import MatrixQ, independent_columns, sparse_rank
+from causalcoh.linalg import MatrixQ, quotient_basis, sparse_rank
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -339,6 +339,36 @@ def test_sparse_elimination_matches_dense_oracle():
                 assert _stored_entries_are_normal(m.inverse()), m
 
 
+def dense_quotient_basis(d: MatrixQ, image: MatrixQ) -> MatrixQ:
+    """The canonical kernel columns of ``d`` kept by re-ranking: a column is
+    kept when appending it to ``image`` and the columns kept so far raises
+    the rank."""
+    current, kept = image, []
+    for col in dense_kernel_basis(d).columns():
+        candidate = current.hstack(MatrixQ.column_vector(col))
+        if dense_rank(candidate) > dense_rank(current):
+            current = candidate
+            kept.append(col)
+    return MatrixQ.from_columns(kept, rows=d.cols)
+
+
+def test_quotient_basis_matches_the_rerank_rule_and_gives_unique_coordinates():
+    rng = random.Random(4411)
+    for d in (*_differential_cases(), *_growth_cases()):
+        kernel = dense_kernel_basis(d)
+        image = kernel * _random_matrix(rng, kernel.cols, rng.randint(0, kernel.cols + 1))
+        basis, coordinates = quotient_basis(d, image)
+        assert basis == dense_quotient_basis(d, image), (d, image)
+        assert _stored_entries_are_normal(basis) and _stored_entries_are_normal(coordinates)
+        assert coordinates.shape() == (basis.cols, d.cols)
+        assert coordinates * basis == MatrixQ.identity(basis.cols), (d, image)
+        assert (coordinates * image).is_zero(), (d, image)
+        # a kernel vector's coordinates do not depend on the image part added
+        x = _random_matrix(rng, basis.cols, 2)
+        y = _random_matrix(rng, image.cols, 2)
+        assert coordinates * (basis * x + image * y) == x, (d, image)
+
+
 def test_sparse_rank_of_tuple_keyed_integer_columns():
     # columns shaped like calabi.killing_system output: (component, Laurent
     # key) -> nonzero int, ranked without building a matrix
@@ -391,6 +421,8 @@ def _operations(rng: random.Random, m: MatrixQ):
     wide = _random_matrix(rng, m.rows, rng.randint(0, 3))
     tall = _random_matrix(rng, rng.randint(0, 3), m.cols)
     c = rng.choice((0, 1, -1, 3, Fraction(-2, 3)))
+    kernel = m.kernel_basis()
+    image = kernel * _random_matrix(rng, kernel.cols, rng.randint(0, 3))
     ops = [("+", (m, same), lambda: m + same),
            ("-", (m, same), lambda: m - same),
            ("neg", (m,), lambda: -m),
@@ -402,7 +434,7 @@ def _operations(rng: random.Random, m: MatrixQ):
            ("rref", (m,), lambda: m.rref()[0]),
            ("kernel_basis", (m,), lambda: m.kernel_basis()),
            ("solve", (m, wide), lambda: m.solve(wide)),
-           ("independent_columns", (m, same), lambda: independent_columns(m, same)),
+           ("quotient_basis", (m, image), lambda: quotient_basis(m, image)),
            ("rank", (m,), lambda: m.rank()),
            ("pivots", (m,), lambda: m.pivots(skip={0})),
            ("sparse_rank", (m,), lambda: sparse_rank(m._r))]
